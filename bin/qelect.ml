@@ -431,7 +431,8 @@ let analyze_cmd backend file instance graph agents =
     Printf.printf "instance %s: n=%d, m=%d, agents at {%s}\n" name (Graph.n g)
       (Graph.m g)
       (String.concat "," (List.map string_of_int black));
-    let t = Qe_symmetry.Classes.compute b in
+    (* through the cache, so the oracle calls below reuse these classes *)
+    let t = Qe_symmetry.Artifact_cache.classes b in
     print_string (Format.asprintf "%a" Qe_symmetry.Classes.pp t);
     Printf.printf "gcd of class sizes: %d\n"
       (Qe_symmetry.Classes.gcd_sizes t);
@@ -1133,7 +1134,8 @@ let frontier_measure slow_check spec =
   let n = Graph.n g in
   let b = Bicolored.make g ~black:(List.init n Fun.id) in
   let t1 = now () in
-  let cls = Classes.compute b in
+  (* cached, so [Oracle.predict] below finds these classes *)
+  let cls = Cache.classes b in
   let classes_ns = now () - t1 in
   let t2 = now () in
   let predict = Oracle.predict b in

@@ -10,10 +10,10 @@ type prediction = Solvable | Unsolvable | Frontier
 
 (* Every oracle predicate is a pure function of the bicolored instance,
    so each routes through an {!Qe_symmetry.Artifact_cache} table keyed
-   by the instance's exact structural certificate. The [gcd]/[predict]
-   computations share one [Classes.compute] through the nested
-   [Cache.classes] entry — the historical double computation inside
-   [predict] collapses to a single cached one. *)
+   by the instance itself (digest once per value, exact check per hit).
+   The [gcd]/[predict] computations share one [Classes.compute] through
+   the nested [Cache.classes] entry — the historical double computation
+   inside [predict] collapses to a single cached one. *)
 let gcd_tbl : int Cache.table = Cache.create_table ~kind:"oracle.gcd" ()
 
 let predict_tbl : prediction Cache.table =
@@ -26,7 +26,7 @@ let symlab_tbl : bool Cache.table =
   Cache.create_table ~kind:"oracle.symlab" ()
 
 let gcd_classes b =
-  Cache.memo gcd_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo_instance gcd_tbl b (fun () ->
       Classes.gcd_sizes (Cache.classes b))
 
 let elect_prediction b =
@@ -52,7 +52,7 @@ let translation_impossible_fast b =
     | None -> None
 
 let translation_impossible b =
-  Cache.memo translation_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo_instance translation_tbl b (fun () ->
       match translation_impossible_fast b with
       | Some verdict -> verdict
       | None ->
@@ -60,7 +60,7 @@ let translation_impossible b =
             ~black:(Bicolored.blacks b))
 
 let symmetric_labeling_exists b =
-  Cache.memo symlab_tbl ~key:(Cache.exact_key b) @@ fun () ->
+  Cache.memo_instance symlab_tbl b @@ fun () ->
   let g = Bicolored.graph b in
   let subgroups = Cayley_detect.all_regular_subgroups g in
   List.exists
@@ -81,7 +81,7 @@ let symmetric_labeling_exists b =
     subgroups
 
 let predict b =
-  Cache.memo predict_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo_instance predict_tbl b (fun () ->
       if translation_impossible b then Unsolvable
       else if gcd_classes b = 1 then Solvable
       else Frontier)

@@ -3,12 +3,13 @@
 
     Every predicate here is a pure function of the bicolored instance
     and is memoized in {!Qe_symmetry.Artifact_cache} (keyed by the
-    instance's exact structural certificate), so sweeps that interrogate
-    the oracle once per (strategy, seed) pay the symmetry stack once per
-    instance. The memoization is metric-transparent: cached and uncached
-    calls record identical kernel counters into the ambient sink, modulo
-    the [cache.*] counters themselves. [Artifact_cache.set_enabled
-    false] restores the direct computations. *)
+    instance itself, compared exactly on every hit), so sweeps that
+    interrogate the oracle once per (strategy, seed) pay the symmetry
+    stack once per instance. The memoization is metric-transparent:
+    cached and uncached calls record identical kernel counters into the
+    ambient sink, modulo the [cache.*] counters themselves.
+    [Artifact_cache.set_enabled false] restores the direct
+    computations. *)
 
 type prediction =
   | Solvable  (** election succeeds (some protocol here elects it) *)

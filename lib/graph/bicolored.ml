@@ -1,4 +1,8 @@
-type t = { graph : Graph.t; black : bool array }
+type t = {
+  graph : Graph.t;
+  black : bool array;
+  mutable key_digest : int option;
+}
 
 let make graph ~black =
   let n = Graph.n graph in
@@ -10,7 +14,7 @@ let make graph ~black =
       if arr.(u) then invalid_arg "Bicolored.make: duplicate home-base";
       arr.(u) <- true)
     black;
-  { graph; black = arr }
+  { graph; black = arr; key_digest = None }
 
 let graph t = t.graph
 let is_black t u = t.black.(u)
@@ -30,6 +34,9 @@ let complement t =
     List.filter (fun u -> not t.black.(u)) (List.init (Graph.n t.graph) Fun.id)
   in
   make t.graph ~black:whites
+
+let key_digest t = t.key_digest
+let set_key_digest t d = t.key_digest <- Some d
 
 let pp ppf t =
   Format.fprintf ppf "(%a, blacks=%s)" Graph.pp t.graph

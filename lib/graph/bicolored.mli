@@ -23,4 +23,10 @@ val complement : t -> t
 (** Swap black and white (only valid if some node is white). Used in tests
     of color-preservation. *)
 
+val key_digest : t -> int option
+(** Cache-key digest slot, as {!Graph.key_digest}: filled once per value
+    by the artifact cache, never read here. *)
+
+val set_key_digest : t -> int -> unit
+
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,11 @@ type t = {
   csr : Csr.t;
   mutable witness : witness option;
   mutable witness_verdict : bool option;
+  mutable key_digest : int option;
 }
 
-let of_csr csr = { csr; witness = None; witness_verdict = None }
+let of_csr csr =
+  { csr; witness = None; witness_verdict = None; key_digest = None }
 
 let of_edges ~n edges =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
@@ -117,3 +119,8 @@ let set_transitivity_witness g w =
 let transitivity_witness g = g.witness
 let witness_verdict g = g.witness_verdict
 let set_witness_verdict g v = g.witness_verdict <- Some v
+
+(* Same single-word idempotent write as the verdict: a racing second
+   derivation stores the same value. *)
+let key_digest g = g.key_digest
+let set_key_digest g d = g.key_digest <- Some d

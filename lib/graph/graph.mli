@@ -116,3 +116,15 @@ val witness_verdict : t -> bool option
 (** Cached verification result, if a consumer already checked. *)
 
 val set_witness_verdict : t -> bool -> unit
+
+(** {1 Cache-key digest slot}
+
+    Consumers that key memo tables on a graph (the artifact cache) derive
+    an O(n + m) digest of its structure once and park it here, the same
+    way the transitivity verdict is cached. The graph module never reads
+    the slot itself. *)
+
+val key_digest : t -> int option
+(** The digest a consumer stored, if any. *)
+
+val set_key_digest : t -> int -> unit

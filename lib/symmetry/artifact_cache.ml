@@ -109,6 +109,154 @@ let lh_pool samples =
   |> fun merged ->
   match merged with [ (_, s) ] -> s | _ -> assert false
 
+(* ---------- instance keys ---------- *)
+
+module Graph = Qe_graph.Graph
+module Bicolored = Qe_graph.Bicolored
+module Csr = Qe_graph.Csr
+
+(* A key names what a table entry is a function of: a string (the
+   generic [memo]), a bicolored instance, or a bare graph. Instances and
+   graphs are held by reference — the entry keeps them alive until
+   [clear] — and compared exactly; the digest only picks the bucket.
+   [scope] is [Canon_backend.tag ()] for canon-derived tables, [""]
+   elsewhere. *)
+type subject = Named of string | Instance of Bicolored.t | Structure of Graph.t
+type key = { digest : int; scope : string; subject : subject }
+
+(* 63-bit finalizer (xorshift-multiply, splitmix64 shape). *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x2545F4914F6CDD1D in
+  let x = (x lxor (x lsr 29)) * 0x1D8E4E27C47D124F in
+  x lxor (x lsr 32)
+
+(* Order-independent digest of (n, multiset of darts u -> dst): a sum of
+   mixed dart codes, so neither port order nor edge order moves it.
+   One pass over the CSR, no allocation. *)
+let dart_digest (c : Csr.t) =
+  let n = c.Csr.n and off = c.Csr.off and dst = c.Csr.dst in
+  let acc = ref (mix n) in
+  for u = 0 to n - 1 do
+    let base = (u * n) + 1 in
+    for a = off.(u) to off.(u + 1) - 1 do
+      acc := !acc + mix (base + dst.(a))
+    done
+  done;
+  mix !acc
+
+let graph_digest g =
+  match Graph.key_digest g with
+  | Some d -> d
+  | None ->
+      let d = dart_digest (Graph.csr g) in
+      Graph.set_key_digest g d;
+      d
+
+let derivations = Atomic.make 0
+let key_derivations () = Atomic.get derivations
+
+let instance_digest b =
+  match Bicolored.key_digest b with
+  | Some d -> d
+  | None ->
+      Atomic.incr derivations;
+      let g = Bicolored.graph b in
+      let mask = ref 0 in
+      for u = 0 to Graph.n g - 1 do
+        if Bicolored.is_black b u then mask := !mask + mix (lnot u)
+      done;
+      let d = mix (graph_digest g + mix !mask) in
+      Bicolored.set_key_digest b d;
+      d
+
+(* Per-domain counting scratch for the multiset comparison; all zeros
+   between uses. *)
+let scratch : int array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+(* Does node [u] carry the same multiset of dart targets in both CSRs?
+   Degrees are already known equal. Identical slices answer at once;
+   otherwise count [a]'s targets up and [b]'s down — with equal sizes,
+   no count below zero means all counts are zero. *)
+let same_targets (a : Csr.t) (b : Csr.t) u =
+  let lo = a.Csr.off.(u) and hi = a.Csr.off.(u + 1) in
+  let da = a.Csr.dst and db = b.Csr.dst in
+  let i = ref lo in
+  while !i < hi && da.(!i) = db.(!i) do incr i done;
+  !i >= hi
+  ||
+  let cell = Domain.DLS.get scratch in
+  if Array.length !cell < a.Csr.n then cell := Array.make a.Csr.n 0;
+  let cnt = !cell in
+  for j = lo to hi - 1 do
+    cnt.(da.(j)) <- cnt.(da.(j)) + 1
+  done;
+  let ok = ref true in
+  for j = lo to hi - 1 do
+    let d = db.(j) in
+    cnt.(d) <- cnt.(d) - 1;
+    if cnt.(d) < 0 then ok := false
+  done;
+  for j = lo to hi - 1 do
+    cnt.(da.(j)) <- 0;
+    cnt.(db.(j)) <- 0
+  done;
+  !ok
+
+(* Exactly the equality of [Cdigraph.certificate_of_identity] on the
+   arc part: same n and, node by node, the same multiset of darts. *)
+let same_darts (a : Csr.t) (b : Csr.t) =
+  a == b
+  || a.Csr.n = b.Csr.n
+     &&
+     let n = a.Csr.n in
+     let u = ref 0 in
+     while !u <= n && a.Csr.off.(!u) = b.Csr.off.(!u) do incr u done;
+     !u > n
+     &&
+     let u = ref 0 in
+     while !u < n && same_targets a b !u do incr u done;
+     !u >= n
+
+let same_mask x y =
+  let n = Graph.n (Bicolored.graph x) in
+  Graph.n (Bicolored.graph y) = n
+  &&
+  let u = ref 0 in
+  while !u < n && Bicolored.is_black x !u = Bicolored.is_black y !u do
+    incr u
+  done;
+  !u >= n
+
+let same_graph x y = x == y || same_darts (Graph.csr x) (Graph.csr y)
+
+let same_subject a b =
+  match (a, b) with
+  | Named x, Named y -> String.equal x y
+  | Instance x, Instance y ->
+      x == y
+      || same_mask x y && same_graph (Bicolored.graph x) (Bicolored.graph y)
+  | Structure x, Structure y -> same_graph x y
+  | _ -> false
+
+module Keyed = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.digest = b.digest && String.equal a.scope b.scope
+    && same_subject a.subject b.subject
+
+  let hash k = k.digest land max_int
+end)
+
+let named s = { digest = Hashtbl.hash s; scope = ""; subject = Named s }
+
+let instance_key ?(scope = "") b =
+  { digest = instance_digest b; scope; subject = Instance b }
+
+let structure_key g =
+  { digest = graph_digest g; scope = ""; subject = Structure g }
+
 (* ---------- sharded single-flight tables ---------- *)
 
 let num_shards = 32 (* power of two: shard = hash land (num_shards - 1) *)
@@ -130,7 +278,7 @@ and flight = {
   mutable fl_done : bool;
 }
 
-type 'a shard = { m : Mutex.t; tbl : (string, 'a entry) Hashtbl.t }
+type 'a shard = { m : Mutex.t; tbl : 'a entry Keyed.t }
 
 (* Domain-local first level: a plain hashtable of settled entries, no
    mutex anywhere on its path. Populated from L2 hits and own computes;
@@ -139,7 +287,7 @@ type 'a shard = { m : Mutex.t; tbl : (string, 'a entry) Hashtbl.t }
    without putting a shared counter on the hot path. *)
 type 'a l1 = {
   mutable l1_gen : int;
-  l1_tbl : (string, ('a, exn) result * Metrics.snapshot) Hashtbl.t;
+  l1_tbl : (('a, exn) result * Metrics.snapshot) Keyed.t;
   l1_hits : int Atomic.t;
   l1_lat : lhist;  (* this domain's L1 hit latencies *)
   l2_lat : lhist;  (* this domain's L2 hit latencies (incl. waits) *)
@@ -194,7 +342,7 @@ let create_table ~kind () =
         Mutex.lock l1_cells_m;
         l1_cells := (cell, l1_lat, l2_lat) :: !l1_cells;
         Mutex.unlock l1_cells_m;
-        { l1_gen = -1; l1_tbl = Hashtbl.create 64; l1_hits = cell;
+        { l1_gen = -1; l1_tbl = Keyed.create 64; l1_hits = cell;
           l1_lat; l2_lat })
   in
   let t =
@@ -202,7 +350,7 @@ let create_table ~kind () =
       kind;
       shards =
         Array.init num_shards (fun _ ->
-            { m = Mutex.create (); tbl = Hashtbl.create 16 });
+            { m = Mutex.create (); tbl = Keyed.create 16 });
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       waits = Atomic.make 0;
@@ -217,11 +365,14 @@ let create_table ~kind () =
         Mutex.lock s.m;
         (* drop only settled entries: a racing computer will still
            publish its Ready over the In_flight it owns *)
-        Hashtbl.iter
-          (fun k e -> match e with Ready _ -> Hashtbl.remove s.tbl k | _ -> ())
-          (Hashtbl.copy s.tbl);
+        Keyed.filter_map_inplace
+          (fun _ e -> match e with Ready _ -> None | In_flight _ -> Some e)
+          s.tbl;
         Mutex.unlock s.m)
-      t.shards
+      t.shards;
+    (* the calling domain's L1 is emptied now rather than on its next
+       lookup, so a cleared cache keeps no instance reachable from it *)
+    Keyed.reset (Domain.DLS.get t.l1_key).l1_tbl
   in
   let cells () =
     Mutex.lock t.l1_cells_m;
@@ -273,7 +424,7 @@ let with_registry f =
 
 let clear () =
   with_registry (List.iter (fun e -> e.r_clear ()));
-  (* per-domain L1s flush themselves on the next lookup *)
+  (* other domains' L1s flush themselves on their next lookup *)
   Atomic.incr generation
 let reset_stats () = with_registry (List.iter (fun e -> e.r_reset ()))
 
@@ -306,7 +457,7 @@ let metrics_snapshot () =
 
 let publish shard key fl res delta =
   Mutex.lock shard.m;
-  Hashtbl.replace shard.tbl key (Ready (res, delta));
+  Keyed.replace shard.tbl key (Ready (res, delta));
   Mutex.unlock shard.m;
   Mutex.lock fl.fl_m;
   fl.fl_done <- true;
@@ -328,20 +479,23 @@ let hit_event kind level t_ns =
            })
   | _ -> ()
 
-let memo t ~key compute =
+(* [derive] builds the key inside the timed region, so hit latencies
+   include the key's cost. *)
+let memo_by t derive compute =
   if not (enabled ()) then compute ()
   else begin
     let t0 = Clock.now_ns () in
+    let key = derive () in
     (* L1: this domain's private table — no lock, no shared write on a
        hit beyond the domain's own stat cell. The warm path of a sweep
        lives entirely here. *)
     let l1 = Domain.DLS.get t.l1_key in
     let gen = Atomic.get generation in
     if l1.l1_gen <> gen then begin
-      Hashtbl.reset l1.l1_tbl;
+      Keyed.reset l1.l1_tbl;
       l1.l1_gen <- gen
     end;
-    match Hashtbl.find_opt l1.l1_tbl key with
+    match Keyed.find_opt l1.l1_tbl key with
     | Some (res, delta) ->
         Atomic.incr l1.l1_hits;
         bump ("cache.hit." ^ t.kind);
@@ -354,13 +508,13 @@ let memo t ~key compute =
         (* L2: shared shards, single-flight on a genuine cold miss. Any
            settled entry found here is copied into the L1 so this domain
            never takes the shard lock for this key again. *)
-        let shard = t.shards.(Hashtbl.hash key land (num_shards - 1)) in
+        let shard = t.shards.(key.digest land (num_shards - 1)) in
         let rec lookup () =
           Mutex.lock shard.m;
-          match Hashtbl.find_opt shard.tbl key with
+          match Keyed.find_opt shard.tbl key with
           | Some (Ready (res, delta)) ->
               Mutex.unlock shard.m;
-              Hashtbl.replace l1.l1_tbl key (res, delta);
+              Keyed.replace l1.l1_tbl key (res, delta);
               Atomic.incr t.hits;
               bump ("cache.hit." ^ t.kind);
               replay delta;
@@ -395,7 +549,7 @@ let memo t ~key compute =
                 { fl_m = Mutex.create (); fl_cv = Condition.create ();
                   fl_done = false }
               in
-              Hashtbl.replace shard.tbl key (In_flight fl);
+              Keyed.replace shard.tbl key (In_flight fl);
               Mutex.unlock shard.m;
               Atomic.incr t.misses;
               bump ("cache.miss." ^ t.kind);
@@ -413,15 +567,21 @@ let memo t ~key compute =
                 strip_cache (Metrics.snapshot scratch.Sink.metrics)
               in
               publish shard key fl res delta;
-              Hashtbl.replace l1.l1_tbl key (res, delta);
+              Keyed.replace l1.l1_tbl key (res, delta);
               replay delta;
               (match res with Ok v -> v | Error e -> raise e)
         in
         lookup ()
   end
 
+let memo t ~key compute = memo_by t (fun () -> named key) compute
+let memo_instance t b compute = memo_by t (fun () -> instance_key b) compute
+let memo_graph t g compute = memo_by t (fun () -> structure_key g) compute
+
 (* ---------- keys and cached artifacts ---------- *)
 
+(* Slow reference: instance keys are equal exactly when these
+   certificate strings are, which the tests check. *)
 let exact_key b = Cdigraph.certificate_of_identity (Cdigraph.of_bicolored b)
 let graph_key g = Cdigraph.certificate_of_identity (Cdigraph.of_graph g)
 
@@ -430,9 +590,10 @@ let graph_key g = Cdigraph.certificate_of_identity (Cdigraph.of_graph g)
    backend-independent (selftest's whole job is proving that), but the
    cache must never be the thing hiding a divergence. Belt and braces:
    scoped keys here, plus a [clear] hook on every backend switch (below)
-   for the downstream tables — oracle verdicts, ELECT plans — that key
-   on the bare exact certificate. *)
-let backend_key b = Canon_backend.tag () ^ "|" ^ exact_key b
+   for the downstream tables — oracle verdicts, ELECT plans — keyed on
+   the bare instance. *)
+let memo_scoped t b compute =
+  memo_by t (fun () -> instance_key ~scope:(Canon_backend.tag ()) b) compute
 
 let () = Canon_backend.on_switch clear
 
@@ -440,7 +601,7 @@ let classes_tbl : Classes.t table = create_table ~kind:"classes" ()
 let fingerprint_tbl : string table = create_table ~kind:"certificate" ()
 
 let classes b =
-  memo classes_tbl ~key:(backend_key b) (fun () -> Classes.compute b)
+  memo_scoped classes_tbl b (fun () -> Classes.compute b)
 
 let fingerprint_uncached b =
   let r = Canon.run (Cdigraph.of_bicolored b) in
@@ -463,4 +624,11 @@ let fingerprint_uncached b =
   ^ String.concat "," (List.map string_of_int sig_)
 
 let fingerprint b =
-  memo fingerprint_tbl ~key:(backend_key b) (fun () -> fingerprint_uncached b)
+  memo_scoped fingerprint_tbl b (fun () -> fingerprint_uncached b)
+
+module For_testing = struct
+  let with_digest d b =
+    let b' = Bicolored.make (Bicolored.graph b) ~black:(Bicolored.blacks b) in
+    Bicolored.set_key_digest b' d;
+    b'
+end

@@ -20,17 +20,29 @@
       Entered only on an L1 miss; any settled entry found is copied
       into the caller's L1 on the way out.
 
-    {b Keys.} The primary key of every table is the {e exact} structural
-    certificate of the instance ({!exact_key}: the
-    {!Cdigraph.certificate_of_identity} of its bicolored digraph —
-    numbering-sensitive on purpose). Agent maps are drawn
-    deterministically per (instance, home), so exact keys already
+    {b Keys.} Tables are keyed by the instance itself. An instance key
+    holds the {!Qe_graph.Bicolored.t} (or, for {!memo_graph}, the bare
+    {!Qe_graph.Graph.t}) by reference, plus an order-independent O(n + m)
+    digest of (n, black mask, multiset of darts [u -> dst]) read straight
+    off the CSR arrays — no {!Cdigraph}, no sort, no string. The digest
+    is derived at most once per value and parked on it
+    ({!Qe_graph.Bicolored.key_digest}); it only picks the bucket. Every
+    L1/L2 hit then runs an exact, allocation-free equality check —
+    physical equality, else identical [off]/[dst] slices and black mask,
+    else (port orders differ) a per-node multiset comparison — so a
+    digest collision can never return a wrong artifact. Two keys are
+    equal exactly when their {!exact_key} certificates are: same n, same
+    node colors, same arc multiset ({e numbering-sensitive} on purpose).
+    {!exact_key} and {!graph_key} remain as the slow reference.
+    Agent maps are drawn deterministically per (instance, home), so
+    numbering-sensitive keys already
     capture all cross-seed / cross-strategy redundancy, while keeping
     every numbering-dependent byproduct ([canon.*] / [refine.*]
     counters, class node ids) bit-identical to the uncached computation.
     The {e canonical} fingerprint ({!fingerprint}: [Canon] certificate
     plus black-node orbit signature, equal across isomorphic instances)
-    is itself one of the memoized artifacts.
+    is itself one of the memoized artifacts. A key keeps its instance
+    alive until {!clear}.
 
     {b Metric transparency.} A miss runs the computation under a private
     scratch sink and stores the resulting kernel-metric delta next to
@@ -56,9 +68,11 @@ val enabled : unit -> bool
 
 val clear : unit -> unit
 (** Drop every entry of every table (stats are kept; see
-    {!reset_stats}). Per-domain L1s are invalidated lazily: the global
-    generation is bumped and each domain flushes its local table on its
-    next lookup. Safe to call concurrently with lookups. *)
+    {!reset_stats}). The calling domain's L1s are emptied at once, so no
+    instance stays reachable from them; other domains' L1s are
+    invalidated lazily — the global generation is bumped and each flushes
+    its local table on its next lookup. Safe to call concurrently with
+    lookups. *)
 
 (** {1 Tables} *)
 
@@ -78,6 +92,15 @@ val memo : 'a table -> key:string -> (unit -> 'a) -> 'a
     Do not call [memo t ~key] recursively from its own [f] (it would
     deadlock on its own flight); nesting across distinct tables or keys
     is fine and is how the plan table layers on the classes table. *)
+
+val memo_instance : 'a table -> Qe_graph.Bicolored.t -> (unit -> 'a) -> 'a
+(** [memo_instance t b f] is {!memo} keyed by the instance [b] (see
+    {b Keys} above): a hit returns the entry of an instance with the same
+    {!exact_key}. Hit latencies include deriving the key. *)
+
+val memo_graph : 'a table -> Qe_graph.Graph.t -> (unit -> 'a) -> 'a
+(** The same for a bare graph: entries are shared exactly between
+    graphs with the same {!graph_key}. *)
 
 (** {1 Statistics} *)
 
@@ -123,20 +146,26 @@ val hit_rate : stat list -> float
 
 val exact_key : Qe_graph.Bicolored.t -> string
 (** The identity certificate of the instance's bicolored digraph: equal
-    iff same graph numbering and same placement. O(n + m), no search. *)
+    iff same graph numbering and same placement. No search, but it builds
+    a {!Cdigraph}, sorts every arc and writes a string several bytes per
+    arc — the reference semantics of instance keys, not a key itself. *)
 
 val graph_key : Qe_graph.Graph.t -> string
 (** Same, for a bare (uncolored) graph. *)
+
+val key_derivations : unit -> int
+(** Process-global count of instance digests derived so far (each
+    {!Qe_graph.Bicolored.t} value is digested at most once). *)
 
 val fingerprint : Qe_graph.Bicolored.t -> string
 (** Canonical instance fingerprint: the {!Canon} certificate of the
     bicolored digraph joined with the black-node orbit signature (sorted
     sizes of the orbits containing home-bases). Equal exactly on
     isomorphic instances. Memoized (kind ["certificate"]) under the
-    exact key scoped by {!Canon_backend.tag}, so entries computed under
+    instance key scoped by {!Canon_backend.tag}, so entries computed under
     one backend are never served under another; {!clear} additionally
     runs on every backend switch (via {!Canon_backend.on_switch}) to
-    cover the downstream tables keyed on bare exact certificates. *)
+    cover the downstream tables keyed on bare instance keys. *)
 
 val fingerprint_uncached : Qe_graph.Bicolored.t -> string
 (** The same computation with no memoization at all — the differential
@@ -146,3 +175,13 @@ val fingerprint_uncached : Qe_graph.Bicolored.t -> string
 val classes : Qe_graph.Bicolored.t -> Classes.t
 (** Memoized {!Classes.compute} (kind ["classes"], default leaf
     budget). *)
+
+(** {1 Test support} *)
+
+module For_testing : sig
+  val with_digest : int -> Qe_graph.Bicolored.t -> Qe_graph.Bicolored.t
+  (** [with_digest d b] is a fresh copy of [b] whose key digest is forced
+      to [d]. Copies of two different instances then land on the same
+      bucket of every table, which lets a test check that the exact
+      comparison keeps their artifacts apart. *)
+end

@@ -2,7 +2,10 @@
 
    Contracts under test:
    - keys: exact keys are numbering-sensitive, canonical fingerprints are
-     numbering-blind (equal exactly on isomorphic instances);
+     numbering-blind (equal exactly on isomorphic instances); instance
+     keys are equal exactly when exact_key strings are, survive forced
+     digest collisions, are derived once per value, and are released by
+     clear;
    - memo: one computation per key, exceptions cached and re-raised,
      per-kind stats;
    - single-flight: 8 domains racing one cold key produce exactly one
@@ -64,6 +67,181 @@ let test_keys () =
   Alcotest.(check bool)
     "exact_key is cheap and deterministic" true
     (Cache.exact_key b = Cache.exact_key (c6_antipodal ()))
+
+(* ---------- instance keys vs the exact_key reference ---------- *)
+
+(* An instance key must be equal exactly when the exact_key certificates
+   are. Observed through the real lookup path: after [clear], [x] fills
+   a fresh entry and [y] either hits it (keys equal) or computes its
+   own. *)
+let key_tbl : int Cache.table = Cache.create_table ~kind:"test.key" ()
+
+let graph_key_tbl : int Cache.table =
+  Cache.create_table ~kind:"test.graph_key" ()
+
+let shares memo tbl x y =
+  Cache.clear ();
+  ignore (memo tbl x (fun () -> 1) : int);
+  memo tbl y (fun () -> 2) = 1
+
+(* (n, edges, blacks): multigraphs with loops and parallel edges, not
+   necessarily connected *)
+let random_spec st =
+  let n = 1 + Random.State.int st 6 in
+  let edges =
+    List.init (Random.State.int st 10) (fun _ ->
+        (Random.State.int st n, Random.State.int st n))
+  in
+  let black =
+    List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id)
+  in
+  (n, edges, if black = [] then [ Random.State.int st n ] else black)
+
+let shuffle st l =
+  List.map (fun x -> (Random.State.bits st, x)) l
+  |> List.sort compare |> List.map snd
+
+(* A second spec related to the first the way real keys meet: the same
+   edges in another order or orientation (other port orders), a
+   renumbering, a flipped colour, an extra loop or parallel edge, one
+   more node, or an unrelated draw. *)
+let variant st ((n, edges, black) as spec) =
+  let node () = Random.State.int st n in
+  match Random.State.int st 8 with
+  | 0 -> spec
+  | 1 ->
+      let flip (u, v) = if Random.State.bool st then (v, u) else (u, v) in
+      (n, List.map flip (shuffle st edges), black)
+  | 2 ->
+      let p = Array.of_list (shuffle st (List.init n Fun.id)) in
+      ( n,
+        List.map (fun (u, v) -> (p.(u), p.(v))) edges,
+        List.map (Array.get p) black )
+  | 3 ->
+      let u = node () in
+      let black' =
+        if List.mem u black then List.filter (( <> ) u) black else u :: black
+      in
+      (n, edges, if black' = [] then [ (u + 1) mod n ] else black')
+  | 4 ->
+      let u = node () in
+      (n, shuffle st ((u, u) :: edges), black)
+  | 5 -> (
+      match edges with
+      | [] -> (n, [ (node (), node ()) ], black)
+      | e :: _ -> (n, shuffle st (e :: edges), black))
+  | 6 -> (n + 1, edges, black)
+  | _ -> random_spec st
+
+let of_spec (n, edges, black) =
+  Bicolored.make (Graph.of_edges ~n edges) ~black
+
+let prop_key_equality_is_exact_key_equality =
+  QCheck.Test.make ~name:"instance key equal <=> exact_key equal" ~count:500
+    QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let spec = random_spec st in
+      let spec' = variant st spec in
+      let b = of_spec spec in
+      let b' =
+        (* every fifth pair shares one graph value, as the placements of
+           one zoo graph do *)
+        if seed mod 5 = 0 then
+          let _, _, black = variant st spec in
+          if List.for_all (fun u -> u < Graph.n (Bicolored.graph b)) black
+          then Bicolored.make (Bicolored.graph b) ~black
+          else of_spec spec'
+        else of_spec spec'
+      in
+      with_cache_enabled true @@ fun () ->
+      let g = Bicolored.graph b and g' = Bicolored.graph b' in
+      shares Cache.memo_instance key_tbl b b'
+      = (Cache.exact_key b = Cache.exact_key b')
+      && shares Cache.memo_graph graph_key_tbl g g'
+         = (Cache.graph_key g = Cache.graph_key g'))
+
+(* Different instances forced onto one digest must each get their own
+   artifact — from this domain's L1 and from the shared L2 alike — while
+   an equal instance under the same digest shares the entry. The four
+   distinct ones differ only in the mask, only in the arcs (same degree
+   sequence), and only in n. *)
+let test_digest_collision () =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  Cache.reset_stats ();
+  let forced = Cache.For_testing.with_digest 42 in
+  let c6_plus_isolated =
+    Graph.of_edges ~n:7 (List.init 6 (fun i -> (i, (i + 1) mod 6)))
+  in
+  let two_triangles =
+    Graph.of_edges ~n:6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ]
+  in
+  let distinct =
+    List.map forced
+      [
+        c6_antipodal ();
+        Bicolored.make (Families.cycle 6) ~black:[ 0; 1 ];
+        Bicolored.make two_triangles ~black:[ 0; 3 ];
+        Bicolored.make c6_plus_isolated ~black:[ 0; 3 ];
+      ]
+  in
+  (* C6 again, edges listed backwards: other port orders, same arcs *)
+  let c6_backwards =
+    forced
+      (Bicolored.make
+         (Graph.of_edges ~n:6
+            (List.rev (List.init 6 (fun i -> ((i + 1) mod 6, i)))))
+         ~black:[ 0; 3 ])
+  in
+  let get x v = Cache.memo_instance key_tbl x (fun () -> v) in
+  let own = List.mapi (fun i _ -> i + 1) distinct in
+  Alcotest.(check (list int)) "each instance computes its own artifact" own
+    (List.mapi (fun i x -> get x (i + 1)) distinct);
+  Alcotest.(check (list int)) "L1 hits keep them apart" own
+    (List.map (fun x -> get x 0) distinct);
+  Alcotest.(check int) "an equal instance on the same digest shares" 1
+    (get c6_backwards 0);
+  let worker =
+    Domain.spawn (fun () -> List.rev_map (fun x -> get x 0) distinct)
+  in
+  Alcotest.(check (list int)) "L2 hits keep them apart" (List.rev own)
+    (Domain.join worker);
+  let s = stat_of "test.key" in
+  Alcotest.(check int) "one miss per distinct instance" 4 s.Cache.misses;
+  Alcotest.(check int) "every other lookup hits" 9 s.Cache.hits
+
+let test_predict_derives_digest_once () =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  let b = Bicolored.make (Families.petersen ()) ~black:[ 0; 1 ] in
+  let before = Cache.key_derivations () in
+  ignore (Oracle.predict b : Oracle.prediction);
+  Alcotest.(check int) "cold predict: one digest for every table" 1
+    (Cache.key_derivations () - before);
+  ignore (Oracle.predict b : Oracle.prediction);
+  ignore (Elect.make_plan b : Elect.plan);
+  Alcotest.(check int) "warm lookups on the same value derive none" 1
+    (Cache.key_derivations () - before)
+
+(* Keys hold their instance; [clear] must let it go at once, without
+   waiting for this domain's next lookup to flush its L1. *)
+let test_clear_releases_instance () =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  let w = Weak.create 1 in
+  let[@inline never] fill () =
+    let b = Bicolored.make (Families.cycle 64) ~black:[ 0; 5 ] in
+    Weak.set w 0 (Some b);
+    ignore (Oracle.predict b : Oracle.prediction);
+    ignore (Elect.make_plan b : Elect.plan)
+  in
+  fill ();
+  Gc.full_major ();
+  Alcotest.(check bool) "cached entries keep the instance alive" true
+    (Weak.check w 0);
+  Cache.clear ();
+  Gc.full_major ();
+  Alcotest.(check bool) "clear released it" false (Weak.check w 0)
 
 (* ---------- memo basics ---------- *)
 
@@ -391,7 +569,16 @@ let test_backend_switch_invalidates () =
 let () =
   Alcotest.run "cache"
     [
-      ("keys", [ Alcotest.test_case "exact vs fingerprint" `Quick test_keys ]);
+      ( "keys",
+        [
+          Alcotest.test_case "exact vs fingerprint" `Quick test_keys;
+          QCheck_alcotest.to_alcotest prop_key_equality_is_exact_key_equality;
+          Alcotest.test_case "digest collision" `Quick test_digest_collision;
+          Alcotest.test_case "predict derives one digest" `Quick
+            test_predict_derives_digest_once;
+          Alcotest.test_case "clear releases the instance" `Quick
+            test_clear_releases_instance;
+        ] );
       ( "memo",
         [
           Alcotest.test_case "basics + stats" `Quick test_memo_basics;
