@@ -1704,9 +1704,9 @@ let resilience () =
   print_endline
     "the same -j 4 sweep three ways. 'plain' is Campaign.sweep; \n\
      'supervised' arms the self-healing harness (deadline + retry +\n\
-     quarantine) with no faults, so its cost is one claim/settle\n\
-     handshake per task and a 2 ms monitor poll — it must sit within\n\
-     noise of plain. The chaos rows then inject task kills and show the\n\
+     quarantine) with no faults, so its cost is one claim token per\n\
+     attempt and a monitor that sleeps until the next possible overrun\n\
+     — it must sit within noise of plain. The chaos rows then inject task kills and show the\n\
      harness retrying everything to completion, and quarantining the\n\
      tasks a tighter attempt budget cannot save.\n";
   let module Supervisor = Qe_par.Supervisor in

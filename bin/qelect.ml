@@ -497,10 +497,6 @@ let save_cmd instance graph agents out =
 
 (* ---------- sweep (CSV) ---------- *)
 
-(* -j 0 means "auto": size the pool for the machine *)
-let resolve_jobs jobs =
-  if jobs = 0 then Qe_par.Pool.default_jobs () else max 1 jobs
-
 module Cache = Qe_symmetry.Artifact_cache
 
 (* print to [out] so sweep (CSV on stdout) can route stats to stderr *)
@@ -644,7 +640,7 @@ let sweep_cmd backend protocol seeds jobs no_cache stats metrics_port
       | other -> failwith (other ^ ": sweep supports elect, elect-cayley, quantitative")
     in
     let seeds = List.init (max 1 seeds) Fun.id in
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Pool.resolve_jobs jobs in
     (* the resolved value goes to stderr, never into the CSV: the CSV
        byte stream is the determinism contract and must not depend on
        which -j produced it *)
@@ -696,7 +692,7 @@ let chaos_cmd backend protocol seeds trace_out jobs no_cache stats
       | other -> failwith (other ^ ": chaos supports elect, elect-cayley")
     in
     let seeds = max 1 seeds in
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Pool.resolve_jobs jobs in
     Printf.printf
       "chaos: %d seeds x %d instances x %d strategies x 2 plans (-j %d, %d \
        cores)\n\
@@ -939,7 +935,7 @@ let selftest_cmd random_count jobs brute_cap write_golden dump_path =
       ~finally:(fun () -> Canon_backend.select saved_backend)
       (fun () ->
         let items = selftest_corpus ~random_count in
-        let jobs = resolve_jobs jobs in
+        let jobs = Qe_par.Pool.resolve_jobs jobs in
         Printf.printf
           "selftest: %d instances (%d zoo + %d random), backends ocaml+c, \
            -j %d\n\
@@ -1167,7 +1163,7 @@ let frontier_cmd backend specs jobs budget_mb slow_check =
   try
     Option.iter Canon_backend.select backend;
     if specs = [] then failwith "need at least one --spec (e.g. --spec circulant:100000:1+3+9)";
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Pool.resolve_jobs jobs in
     let rows =
       if jobs = 1 || List.length specs = 1 then
         Array.of_list (List.map (frontier_measure slow_check) specs)

@@ -182,14 +182,14 @@ let strategies =
     ("synchronous", Engine.Synchronous);
   ]
 
-let run_one ?strategy ?obs ?(seed = 0) ~expected_elected inst proto =
-  let strategy_name, strategy =
-    match strategy with
-    | Some (name, s) -> (
-        ( name,
-          match s with Engine.Random_fair _ -> Engine.Random_fair seed | s -> s ))
-    | None -> ("random", Engine.Random_fair seed)
-  in
+(* the random scheduler draws from the run's own seed *)
+let reseed seed = function
+  | Engine.Random_fair _ -> Engine.Random_fair seed
+  | s -> s
+
+let run_one ?(strategy = ("random", Engine.Random_fair 0)) ?obs ?(seed = 0)
+    ~expected_elected inst proto =
+  let strategy_name, strategy = (fst strategy, reseed seed (snd strategy)) in
   let world = World.make inst.graph ~black:inst.black in
   let result = Engine.run ~strategy ~seed ?obs world proto in
   let elected =
@@ -220,23 +220,29 @@ let run_one ?strategy ?obs ?(seed = 0) ~expected_elected inst proto =
 
 let elect_expected inst = Oracle.gcd_classes (bicolored inst) = 1
 
-(* ---------- parallel execution ----------
+(* ---------- the campaign executor ----------
 
-   Every sweep below follows the same recipe: build the full task matrix
-   as an array in {e canonical order} (the nesting order of the old
-   sequential loops), farm it out with [Qe_par.Pool.run] — which writes
-   each task's result back into its input slot, whatever domain ran it —
-   and read the results off in index order. Determinism needs nothing
-   more: each task is self-contained (the engine derives its scheduling
+   Every entry point below is the same recipe: build the task matrix
+   once, as an array in {e canonical order} (sweep: instance -> strategy
+   -> seed; chaos: seed -> instance -> strategy -> plan), and hand it to
+   [execute], which farms it out
+   on [Qe_par.Pool.run] — or, supervised, on [Qe_par.Supervisor.map],
+   the same scheduler with a per-task attempt loop — and reads the
+   results back in index order. Determinism needs nothing more: each
+   task is self-contained (the engine derives its scheduling
    [Random.State] from the task's own seed, the fault injector from the
-   plan's seed, and telemetry goes to a task- or instance-private sink),
-   so no observable value depends on which domain ran a task or when.
-   [jobs:1] (the default) runs the plain sequential loop with no pool
-   and no domains at all; [jobs:0] means "ask the machine"
-   ([Qe_par.Pool.default_jobs]). *)
+   plan's seed, and telemetry goes to a task-private sink), so no
+   observable value depends on which domain ran a task or when.
+   [jobs:1] (the default) runs the plain sequential loop with no
+   domains at all, unless a deadline needs a monitored domain; [jobs:0]
+   means "ask the machine"
+   ([Qe_par.Pool.resolve_jobs]). *)
 
-let resolve_jobs jobs =
-  if jobs = 0 then Qe_par.Pool.default_jobs () else max 1 jobs
+module Supervisor = Qe_par.Supervisor
+module Sink = Qe_obs.Sink
+module Metrics = Qe_obs.Metrics
+module Export = Qe_obs.Export
+module J = Qe_obs.Jsonl
 
 (* Relative cost estimate handed to the pool's LPT assignment: symmetry
    refinement, the oracle and the engine all scale with the instance's
@@ -267,90 +273,261 @@ let prewarm instances =
    them stripped. They still flow to live scrape hooks, [qelect run]
    sinks and trace metric lines, where wall time is the point. *)
 let strip_latency snap =
-  List.filter (fun (name, _) -> not (Qe_obs.Metrics.is_latency name)) snap
+  List.filter (fun (name, _) -> not (Metrics.is_latency name)) snap
+
+type sweep_row = {
+  s_idx : int;
+  s_csv : string;
+  s_conforms : bool;
+  s_replayed : bool;
+}
+
+type hardened_summary = {
+  h_tasks : int;
+  h_replayed : int;
+  h_ran : int;
+  h_quarantined : (int * string) list;
+  h_retries : int;
+  h_timeouts : int;
+  h_replaced : int;
+  h_degraded : bool;
+}
+
+(* A task's fate: run here (with its private sink's snapshot, [[]]
+   without one), replayed from the checkpoint journal, or quarantined by
+   the supervisor. *)
+type 'r slot = Ran of 'r * Metrics.snapshot | Replayed of J.value | Quarantined
+
+let ran slots =
+  Array.to_list slots
+  |> List.filter_map (function Ran (r, s) -> Some (r, s) | _ -> None)
+
+let fresh slots = List.map fst (ran slots)
+
+let merged slots =
+  List.fold_left (fun acc (_, s) -> Metrics.merge acc s) [] (ran slots)
+
+(* Run [run sink task] over [tasks] and feed the results to the sinks:
+
+   - [live] gets each run's private-sink snapshot as soon as it
+     completes, from the pool domain (the callback must be domain-safe);
+   - [observe] asks for a private sink even without [live]: the
+     per-task snapshots are the product;
+   - [ambient] also installs the private sink as the domain's ambient
+     one, so kernel work triggered by the run lands in it too (sweeps;
+     chaos runs hand it to the engine only);
+   - [obs] is a parent trace sink: each run's lines are buffered and
+     replayed to it in canonical task order, minus the per-run
+     snapshots, then the batch's [pool.batch] per-domain lanes (when
+     [obs] streams) and one merged snapshot — engine/fault instruments
+     are counters and histograms only, so the merge equals a sequential
+     interval reading exactly;
+   - [checkpoint] replays the journal first (when [resume]) so only the
+     missing indices run, and journals each fresh result at completion
+     time — a kill -9 any time after loses nothing of the task
+     ([encode] returning [None] leaves a result out).
+
+   [supervise] runs the batch under {!Qe_par.Supervisor}; the summary
+   is what a hardened caller reports ([label] names quarantined
+   tasks). *)
+let execute ~jobs ?supervise ?harness_chaos ?(ambient = false)
+    ?(observe = false) ?obs ?live ?checkpoint ?(resume = false) ?(meta = [])
+    ?(encode = fun _ -> None) ?(label = fun _ -> "") ~weight ~run tasks =
+  let jobs = Qe_par.Pool.resolve_jobs jobs in
+  let len = Array.length tasks in
+  (* replay the journal (if resuming) and open it for appends; the
+     header meta pins the exact task matrix, so resuming under different
+     arguments fails instead of silently merging two different sweeps *)
+  let replayed = Hashtbl.create 97 in
+  let journal =
+    Option.map
+      (fun path ->
+        if resume && Sys.file_exists path then begin
+          List.iter
+            (fun (i, v) ->
+              if i >= 0 && i < len then Hashtbl.replace replayed i v)
+            (Checkpoint.load ~path ~meta);
+          Checkpoint.resume ~path ~meta
+        end
+        else Checkpoint.create ~path ~meta)
+      checkpoint
+  in
+  let todo =
+    Array.of_list
+      (List.filter
+         (fun i -> not (Hashtbl.mem replayed i))
+         (List.init len Fun.id))
+  in
+  let streaming =
+    match obs with Some { Sink.on_line = Some _; _ } -> true | _ -> false
+  in
+  let private_sink = observe || Option.is_some obs || Option.is_some live in
+  let task _ idx =
+    let t = tasks.(idx) in
+    let ((r, _, _) as res) =
+      if not private_sink then (run None t, [], [])
+      else begin
+        let lines = ref [] in
+        let on_line =
+          if streaming then Some (fun l -> lines := l :: !lines) else None
+        in
+        let sink = Sink.create ?on_line () in
+        let r =
+          if ambient then Sink.with_ambient sink (fun () -> run (Some sink) t)
+          else run (Some sink) t
+        in
+        let snap = Metrics.snapshot sink.Sink.metrics in
+        Option.iter (fun push -> push snap) live;
+        (r, snap, List.rev !lines)
+      end
+    in
+    Option.iter
+      (fun j -> Option.iter (Checkpoint.append j idx) (encode r))
+      journal;
+    res
+  in
+  let weight _ idx = weight tasks.(idx) in
+  let go () =
+    match supervise with
+    | None -> Array.map Option.some (Qe_par.Pool.run ~jobs ~weight ~f:task todo)
+    | Some policy ->
+        Supervisor.map ~policy ?chaos:harness_chaos ~jobs ~weight ~f:task todo
+        |> Array.map Supervisor.value
+  in
+  (* with a streaming parent, the batch's scheduler telemetry goes to a
+     side sink whose span lanes are appended to the trace; its metrics
+     are wall-clock and would break jobs-invariance, so they are
+     dropped *)
+  let pool_sink = if streaming then Some (Sink.create ()) else None in
+  let t0 = Supervisor.totals () in
+  let results =
+    match pool_sink with Some ps -> Sink.with_ambient ps go | None -> go ()
+  in
+  let t1 = Supervisor.totals () in
+  Option.iter Checkpoint.close journal;
+  let slots =
+    Array.init len (fun idx ->
+        Option.fold ~none:Quarantined ~some:(fun v -> Replayed v)
+          (Hashtbl.find_opt replayed idx))
+  in
+  Array.iteri
+    (fun k res ->
+      Option.iter (fun (r, snap, _) -> slots.(todo.(k)) <- Ran (r, snap)) res)
+    results;
+  Option.iter
+    (fun parent ->
+      Array.iter
+        (Option.iter (fun (_, _, lines) ->
+             List.iter
+               (function
+                 | Export.Metric_snapshot _ -> () | l -> Sink.emit parent l)
+               lines))
+        results;
+      Option.iter
+        (fun ps ->
+          List.iter
+            (fun root -> Sink.emit parent (Export.Span_tree root))
+            (Qe_obs.Span.roots ps.Sink.spans))
+        pool_sink;
+      (* the trace keeps the unstripped merge: latency quantiles are
+         useful in `qelect report`, and traces are wall-clock anyway *)
+      let m = merged slots in
+      if m <> [] then Sink.emit parent (Export.Metric_snapshot m))
+    obs;
+  let quarantined =
+    List.filter_map
+      (fun idx ->
+        match slots.(idx) with
+        | Quarantined -> Some (idx, label tasks.(idx))
+        | _ -> None)
+      (List.init len Fun.id)
+  in
+  ( slots,
+    {
+      h_tasks = len;
+      h_replayed = Hashtbl.length replayed;
+      h_ran = len - Hashtbl.length replayed;
+      h_quarantined = quarantined;
+      h_retries = t1.Supervisor.retries - t0.Supervisor.retries;
+      h_timeouts = t1.Supervisor.timeouts - t0.Supervisor.timeouts;
+      h_replaced = t1.Supervisor.replaced - t0.Supervisor.replaced;
+      h_degraded = t1.Supervisor.degraded > t0.Supervisor.degraded;
+    } )
+
+(* The header meta pinning a matrix for its checkpoint journal. *)
+let matrix_meta ~mode ~seeds ~len proto strategies instances =
+  [
+    ("mode", J.String mode);
+    ("protocol", J.String proto.Protocol.name);
+    ("tasks", J.Int len);
+    ("seeds", seeds);
+    ("strategies", J.String (String.concat "," (List.map fst strategies)));
+    ( "instances",
+      J.String (String.concat "," (List.map (fun i -> i.name) instances)) );
+  ]
+
+(* ---------- sweeps ---------- *)
+
+(* the sweep matrix: instance -> strategy -> seed *)
+let sweep_matrix ~seeds ~strategies ~expected instances =
+  prewarm instances;
+  List.concat_map
+    (fun inst ->
+      let expected_elected = expected inst in
+      List.concat_map
+        (fun strat ->
+          List.map (fun seed -> (inst, strat, seed, expected_elected)) seeds)
+        strategies)
+    instances
+  |> Array.of_list
+
+let sweep_task proto obs (inst, strategy, seed, expected_elected) =
+  run_one ~strategy ?obs ~seed ~expected_elected inst proto
+
+let sweep_weight (inst, _, _, _) = instance_weight inst
 
 let sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1) ?live
     ~expected proto instances =
-  let jobs = resolve_jobs jobs in
-  prewarm instances;
-  let tasks =
-    List.concat_map
-      (fun inst ->
-        let expected_elected = expected inst in
-        List.concat_map
-          (fun strat ->
-            List.map (fun seed -> (inst, strat, seed, expected_elected)) seeds)
-          strategies)
-      instances
-    |> Array.of_list
-  in
-  Qe_par.Pool.run ~jobs
-    ~weight:(fun _ (inst, _, _, _) -> instance_weight inst)
-    ~f:(fun _ (inst, strat, seed, expected_elected) ->
-      match live with
-      | None -> run_one ~strategy:strat ~seed ~expected_elected inst proto
-      | Some push ->
-          (* a live scrape wants engine *and* kernel/cache activity, so
-             give the run the full observed setup; the record itself is
-             unchanged by observation *)
-          let sink = Qe_obs.Sink.create () in
-          let r =
-            Qe_obs.Sink.with_ambient sink (fun () ->
-                run_one ~strategy:strat ~obs:sink ~seed ~expected_elected inst
-                  proto)
-          in
-          push (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-          r)
-    tasks
-  |> Array.to_list
+  (* a live scrape wants engine *and* kernel/cache activity, so each run
+     gets the full observed setup; the record is unchanged by it *)
+  execute ~jobs ~ambient:true ?live ~weight:sweep_weight
+    ~run:(sweep_task proto)
+    (sweep_matrix ~seeds ~strategies ~expected instances)
+  |> fst |> fresh
 
 type obs_report = {
-  per_instance : (string * Qe_obs.Metrics.snapshot) list;
-  total : Qe_obs.Metrics.snapshot;
+  per_instance : (string * Metrics.snapshot) list;
+  total : Metrics.snapshot;
 }
 
 let observed_sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1)
     ?live ~expected proto instances =
-  let jobs = resolve_jobs jobs in
   prewarm instances;
   (* parallel at instance granularity: one sink per instance is the
      published contract of [obs_report], and an instance's runs sharing
-     their domain-local ambient sink is exactly the sequential setup,
-     so per-instance snapshots are bit-identical at any [jobs] *)
-  let per_inst =
-    Qe_par.Pool.run ~jobs
-      ~weight:(fun _ inst -> instance_weight inst)
-      ~f:(fun _ inst ->
+     their sink (engine counters via ?obs, kernel refine/canon counters
+     via the ambient hook) is exactly the sequential setup, so
+     per-instance snapshots are bit-identical at any [jobs] *)
+  let slots, _ =
+    execute ~jobs ~ambient:true ~observe:true ?live ~weight:instance_weight
+      ~run:(fun obs inst ->
         let expected_elected = expected inst in
-        (* one sink per instance: engine counters arrive via ?obs, kernel
-           refine/canon counters via the ambient hook, so any symmetry
-           work triggered inside the runs lands in the same snapshot *)
-        let sink = Qe_obs.Sink.create () in
-        let rs =
-          Qe_obs.Sink.with_ambient sink (fun () ->
-              List.concat_map
-                (fun strat ->
-                  List.map
-                    (fun seed ->
-                      run_one ~strategy:strat ~obs:sink ~seed
-                        ~expected_elected inst proto)
-                    seeds)
-                strategies)
-        in
-        let snap = Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics in
-        Option.iter (fun push -> push snap) live;
-        (rs, (inst.name, strip_latency snap)))
+        List.concat_map
+          (fun strategy ->
+            List.map
+              (fun seed ->
+                run_one ~strategy ?obs ~seed ~expected_elected inst proto)
+              seeds)
+          strategies)
       (Array.of_list instances)
-    |> Array.to_list
   in
-  let records = List.concat_map fst per_inst in
-  let per_instance = List.map snd per_inst in
-  let total =
-    List.fold_left
-      (fun acc (_, s) -> Qe_obs.Metrics.merge acc s)
-      [] per_instance
+  let per_instance =
+    List.map2
+      (fun inst (_, s) -> (inst.name, strip_latency s))
+      instances (ran slots)
   in
-  (records, { per_instance; total })
+  ( List.concat (fresh slots),
+    { per_instance; total = strip_latency (merged slots) } )
 
 let conformance_rate records =
   let total = List.length records in
@@ -381,15 +558,8 @@ type chaos_violation =
       outcome : Engine.outcome;
       verdicts : (Qe_color.Color.t * Protocol.verdict) list;
     }
-      (** safety: the engine certified a success outcome ([Elected] /
-          [Declared_unsolvable]) that contradicts the verdict set —
-          e.g. claimed an election while two agents returned [Leader].
-          Fault-induced divergence must always surface as
-          [Inconsistent], never be silently accepted. *)
   | Zero_fault_divergence of Engine.outcome
-      (** a run in which no fault fired must conform to the oracle *)
   | Crash_run_stuck of Engine.outcome
-      (** a crash-only run on a solvable Cayley instance must terminate *)
 
 let pp_chaos_violation ppf = function
   | Two_leaders_certified { outcome; verdicts } ->
@@ -411,7 +581,7 @@ let pp_chaos_violation ppf = function
 type chaos_record = {
   c_inst : instance;
   c_strategy : string;
-  c_plan_kind : string;  (** "chaos" or "crash-only" *)
+  c_plan_kind : string;
   c_plan : FPlan.t;
   c_outcome : Engine.outcome;
   c_faults : (FKind.t * int) list;
@@ -426,13 +596,11 @@ type chaos_report = {
   c_faults_fired : int;
   c_by_kind : (FKind.t * int) list;
   c_outcomes : (string * int) list;
-      (** outcome label -> run count, most frequent first *)
   c_zero_fault_runs : int;
-  c_violating : chaos_record list;  (** records with [c_violations <> []] *)
+  c_violating : chaos_record list;
   c_metrics : Qe_obs.Metrics.snapshot;
-      (** the sweep's merged engine/fault metrics ([[]] without [obs]) *)
-  c_jobs : int;  (** resolved job count the sweep actually ran with *)
-  c_cores : int;  (** [Domain.recommended_domain_count ()] at run time *)
+  c_jobs : int;
+  c_cores : int;
 }
 
 let outcome_label = function
@@ -448,11 +616,7 @@ let default_chaos_watchdog =
 
 let chaos_run ?obs ~strategy:(strategy_name, strategy) ~seed ~watchdog
     ~plan_kind ~plan ~expected_elected inst proto =
-  let strategy =
-    match strategy with
-    | Engine.Random_fair _ -> Engine.Random_fair seed
-    | s -> s
-  in
+  let strategy = reseed seed strategy in
   let world = World.make inst.graph ~black:inst.black in
   (* wake only the first agent: the rest sleep until a visitor's sign
      wakes them (the paper's wake-up model), which is what puts the
@@ -485,25 +649,19 @@ let chaos_run ?obs ~strategy:(strategy_name, strategy) ~seed ~watchdog
     | Engine.Declared_unsolvable -> leaders = 0
     | _ -> true
   in
+  let outcome = result.Engine.outcome in
   let violations =
-    (if not certified_ok then
-       [
-         Two_leaders_certified
-           {
-             outcome = result.Engine.outcome;
-             verdicts = result.Engine.verdicts;
-           };
-       ]
-     else [])
-    @ (if total_fired = 0 && not conforms then
-         [ Zero_fault_divergence result.Engine.outcome ]
-       else [])
-    @
-    if
-      plan_kind = "crash-only" && inst.cayley && expected_elected
-      && not terminated
-    then [ Crash_run_stuck result.Engine.outcome ]
-    else []
+    List.filter_map
+      (fun (broken, v) -> if broken then Some v else None)
+      [
+        ( not certified_ok,
+          Two_leaders_certified
+            { outcome; verdicts = result.Engine.verdicts } );
+        (total_fired = 0 && not conforms, Zero_fault_divergence outcome);
+        ( plan_kind = "crash-only" && inst.cayley && expected_elected
+          && not terminated,
+          Crash_run_stuck outcome );
+      ]
   in
   {
     c_inst = inst;
@@ -517,490 +675,156 @@ let chaos_run ?obs ~strategy:(strategy_name, strategy) ~seed ~watchdog
     c_turns = result.Engine.scheduler_turns;
   }
 
-let chaos_sweep ?(seeds = 8) ?(strategies = strategies)
-    ?(watchdog = default_chaos_watchdog) ?obs ?(jobs = 1) ?live ~expected
-    proto instances =
-  let jobs = resolve_jobs jobs in
+(* the chaos matrix: seed -> instance -> strategy -> plan *)
+let chaos_matrix ~seeds ~strategies ~expected instances =
   prewarm instances;
-  let tasks =
-    List.concat_map
-      (fun seed ->
-        let plans =
-          [
-            ("chaos", FPlan.chaos ~seed); ("crash-only", FPlan.crash_only ~seed);
-          ]
-        in
-        List.concat_map
-          (fun inst ->
-            let expected_elected = expected inst in
-            List.concat_map
-              (fun strategy ->
-                List.map
-                  (fun (plan_kind, plan) ->
-                    (seed, inst, expected_elected, strategy, plan_kind, plan))
-                  plans)
-              strategies)
-          instances)
-      (List.init seeds Fun.id)
-    |> Array.of_list
-  in
-  let records, c_metrics =
-    if jobs <= 1 then begin
-      (* the untouched sequential path: every run shares [obs] directly,
-         so traces keep their historical shape (per-run cumulative
-         snapshots); the sweep's own totals are the interval reading *)
-      let before =
-        Option.map
-          (fun s -> Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics)
-          obs
+  List.concat_map
+    (fun seed ->
+      let plans =
+        [ ("chaos", FPlan.chaos ~seed); ("crash-only", FPlan.crash_only ~seed) ]
       in
-      let records =
-        Array.to_list tasks
-        |> List.map
-             (fun (seed, inst, expected_elected, strategy, plan_kind, plan) ->
-               match (live, obs) with
-               | None, _ ->
-                   chaos_run ?obs ~strategy ~seed ~watchdog ~plan_kind ~plan
-                     ~expected_elected inst proto
-               | Some push, Some s ->
-                   (* per-run interval reading of the shared sink *)
-                   let b =
-                     Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics
-                   in
-                   let r =
-                     chaos_run ~obs:s ~strategy ~seed ~watchdog ~plan_kind
-                       ~plan ~expected_elected inst proto
-                   in
-                   push
-                     (Qe_obs.Metrics.diff
-                        ~after:
-                          (Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics)
-                        ~before:b);
-                   r
-               | Some push, None ->
-                   let sink = Qe_obs.Sink.create () in
-                   let r =
-                     chaos_run ~obs:sink ~strategy ~seed ~watchdog ~plan_kind
-                       ~plan ~expected_elected inst proto
-                   in
-                   push
-                     (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-                   r)
-      in
-      let c_metrics =
-        match (obs, before) with
-        | Some s, Some before ->
-            strip_latency
-              (Qe_obs.Metrics.diff
-                 ~after:(Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics)
-                 ~before)
-        | _ -> []
-      in
-      (records, c_metrics)
-    end
-    else begin
-      (* parallel: one run = one task with a private sink. Trace lines
-         are buffered per task and replayed to [obs] in canonical task
-         order afterwards — minus the per-run snapshots, which are
-         per-sink readings here; the sweep appends one merged snapshot
-         instead, so `qelect report`'s last-wins totals agree with the
-         sequential trace. Engine/fault instruments are counters and
-         histograms only, so [Metrics.merge] of the per-run snapshots
-         equals the sequential interval reading exactly. *)
-      let streaming =
-        match obs with
-        | Some { Qe_obs.Sink.on_line = Some _; _ } -> true
-        | _ -> false
-      in
-      (* with a streaming parent, the batch's scheduler telemetry is
-         captured in a side sink installed around the pool run (its
-         [pool.batch] per-domain span lanes are appended to the trace
-         after the replayed task lines; its metrics are discarded — they
-         are wall-clock and would break jobs-invariance of [c_metrics]) *)
-      let pool_sink =
-        if streaming then Some (Qe_obs.Sink.create ()) else None
-      in
-      let run_tasks () =
-        Qe_par.Pool.run ~jobs
-          ~weight:(fun _ (_, inst, _, _, _, _) -> instance_weight inst)
-          ~f:(fun _ (seed, inst, expected_elected, strategy, plan_kind, plan)
-             ->
-            match (obs, live) with
-            | None, None ->
-                ( chaos_run ~strategy ~seed ~watchdog ~plan_kind ~plan
-                    ~expected_elected inst proto,
-                  [],
-                  [] )
-            | _ ->
-                let lines = ref [] in
-                let on_line =
-                  if streaming then Some (fun l -> lines := l :: !lines)
-                  else None
-                in
-                let sink = Qe_obs.Sink.create ?on_line () in
-                let r =
-                  chaos_run ~obs:sink ~strategy ~seed ~watchdog ~plan_kind
-                    ~plan ~expected_elected inst proto
-                in
-                let snap =
-                  Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics
-                in
-                Option.iter (fun push -> push snap) live;
-                (r, snap, List.rev !lines))
-          tasks
-      in
-      let results =
-        match pool_sink with
-        | Some ps -> Qe_obs.Sink.with_ambient ps run_tasks
-        | None -> run_tasks ()
-      in
-      let merged =
-        match obs with
-        | None -> []
-        | Some _ ->
-            Array.fold_left
-              (fun acc (_, s, _) -> Qe_obs.Metrics.merge acc s)
-              [] results
-      in
-      let c_metrics = strip_latency merged in
-      (match obs with
-      | None -> ()
-      | Some parent ->
-          Array.iter
-            (fun (_, _, lines) ->
-              List.iter
-                (function
-                  | Qe_obs.Export.Metric_snapshot _ -> ()
-                  | l -> Qe_obs.Sink.emit parent l)
-                lines)
-            results;
-          (match pool_sink with
-          | Some ps ->
-              List.iter
-                (fun root ->
-                  Qe_obs.Sink.emit parent (Qe_obs.Export.Span_tree root))
-                (Qe_obs.Span.roots ps.Qe_obs.Sink.spans)
-          | None -> ());
-          (* the trace keeps the unstripped merge: latency quantiles are
-             useful in `qelect report`, and traces are wall-clock anyway *)
-          if merged <> [] then
-            Qe_obs.Sink.emit parent (Qe_obs.Export.Metric_snapshot merged));
-      (Array.to_list results |> List.map (fun (r, _, _) -> r), c_metrics)
-    end
-  in
+      List.concat_map
+        (fun inst ->
+          let expected_elected = expected inst in
+          List.concat_map
+            (fun strategy ->
+              List.map
+                (fun (plan_kind, plan) ->
+                  (seed, inst, expected_elected, strategy, plan_kind, plan))
+                plans)
+            strategies)
+        instances)
+    (List.init seeds Fun.id)
+  |> Array.of_list
+
+let chaos_task proto watchdog obs
+    (seed, inst, expected_elected, strategy, plan_kind, plan) =
+  chaos_run ?obs ~strategy ~seed ~watchdog ~plan_kind ~plan ~expected_elected
+    inst proto
+
+let chaos_weight (_, inst, _, _, _, _) = instance_weight inst
+let chaos_view r = (outcome_label r.c_outcome, r.c_faults)
+
+(* The aggregates are computed over one (outcome label, faults) view per
+   settled run, in canonical matrix order — fresh records and journal
+   replays alike — so a resumed sweep prints exactly what the
+   uninterrupted one would. *)
+let chaos_report ~jobs ~metrics records views =
+  let fired k (_, faults) = Option.value ~default:0 (List.assoc_opt k faults) in
   let by_kind =
     List.filter_map
       (fun k ->
-        let n =
-          List.fold_left
-            (fun acc r ->
-              acc
-              + (match List.assoc_opt k r.c_faults with
-                | Some n -> n
-                | None -> 0))
-            0 records
-        in
+        let n = List.fold_left (fun acc v -> acc + fired k v) 0 views in
         if n > 0 then Some (k, n) else None)
       FKind.all
   in
   let outcomes =
     List.fold_left
-      (fun acc r ->
-        let l = outcome_label r.c_outcome in
-        let n = match List.assoc_opt l acc with Some n -> n | None -> 0 in
+      (fun acc (l, _) ->
+        let n = Option.value ~default:0 (List.assoc_opt l acc) in
         (l, n + 1) :: List.remove_assoc l acc)
-      [] records
+      [] views
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   {
     c_records = records;
-    c_runs = List.length records;
-    c_faults_fired =
-      List.fold_left (fun acc (_, n) -> acc + n) 0 by_kind;
+    c_runs = List.length views;
+    c_faults_fired = List.fold_left (fun acc (_, n) -> acc + n) 0 by_kind;
     c_by_kind = by_kind;
     c_outcomes = outcomes;
     c_zero_fault_runs =
-      List.length (List.filter (fun r -> r.c_faults = []) records);
+      List.length (List.filter (fun (_, faults) -> faults = []) views);
     c_violating = List.filter (fun r -> r.c_violations <> []) records;
-    c_metrics;
-    c_jobs = jobs;
+    c_metrics = metrics;
+    c_jobs = Qe_par.Pool.resolve_jobs jobs;
     c_cores = Domain.recommended_domain_count ();
   }
 
-(* ---------- hardened campaigns: supervision + checkpoint ---------- *)
-
-module Supervisor = Qe_par.Supervisor
-module J = Qe_obs.Jsonl
-
-type sweep_row = {
-  s_idx : int;
-  s_csv : string;
-  s_conforms : bool;
-  s_replayed : bool;
-}
-
-type hardened_summary = {
-  h_tasks : int;
-  h_replayed : int;
-  h_ran : int;
-  h_quarantined : (int * string) list;
-  h_retries : int;
-  h_timeouts : int;
-  h_replaced : int;
-  h_degraded : bool;
-}
-
-(* Replay the journal (if resuming) and open it for appends. The header
-   meta pins the exact task matrix: protocol, instance list, strategy
-   list, seed set — resuming under different arguments must fail, not
-   silently merge two different sweeps. *)
-let checkpoint_setup ~checkpoint ~resume ~meta ~len =
-  let replayed = Hashtbl.create 97 in
-  let journal =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-        if resume && Sys.file_exists path then begin
-          List.iter
-            (fun (i, v) ->
-              if i >= 0 && i < len then Hashtbl.replace replayed i v)
-            (Checkpoint.load ~path ~meta);
-          Some (Checkpoint.resume ~path ~meta)
-        end
-        else Some (Checkpoint.create ~path ~meta)
+let chaos_sweep ?(seeds = 8) ?(strategies = strategies)
+    ?(watchdog = default_chaos_watchdog) ?obs ?(jobs = 1) ?live ~expected
+    proto instances =
+  let slots, _ =
+    execute ~jobs ?obs ?live ~weight:chaos_weight
+      ~run:(chaos_task proto watchdog)
+      (chaos_matrix ~seeds ~strategies ~expected instances)
   in
-  (replayed, journal)
+  let records = fresh slots in
+  let metrics =
+    if Option.is_none obs then [] else strip_latency (merged slots)
+  in
+  chaos_report ~jobs ~metrics records (List.map chaos_view records)
 
-let summary_of_totals ~len ~replayed_n ~quarantined ~(t0 : Supervisor.totals)
-    ~(t1 : Supervisor.totals) =
-  {
-    h_tasks = len;
-    h_replayed = replayed_n;
-    h_ran = len - replayed_n;
-    h_quarantined = quarantined;
-    h_retries = t1.Supervisor.retries - t0.Supervisor.retries;
-    h_timeouts = t1.Supervisor.timeouts - t0.Supervisor.timeouts;
-    h_replaced = t1.Supervisor.replaced - t0.Supervisor.replaced;
-    h_degraded = t1.Supervisor.degraded > t0.Supervisor.degraded;
-  }
+(* ---------- hardened campaigns: supervision + checkpoint ---------- *)
 
 let sweep_hardened ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1)
     ?live ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
-  let jobs = resolve_jobs jobs in
-  prewarm instances;
-  let tasks =
-    List.concat_map
-      (fun inst ->
-        let expected_elected = expected inst in
-        List.concat_map
-          (fun strat ->
-            List.map (fun seed -> (inst, strat, seed, expected_elected)) seeds)
-          strategies)
-      instances
-    |> Array.of_list
+  let tasks = sweep_matrix ~seeds ~strategies ~expected instances in
+  let seeds = J.String (String.concat "," (List.map string_of_int seeds)) in
+  let encode r =
+    [ ("row", J.String (csv_row r)); ("conforms", J.Bool r.conforms) ]
   in
-  let len = Array.length tasks in
-  let meta =
-    [
-      ("mode", J.String "sweep");
-      ("protocol", J.String proto.Protocol.name);
-      ("tasks", J.Int len);
-      ("seeds", J.String (String.concat "," (List.map string_of_int seeds)));
-      ("strategies", J.String (String.concat "," (List.map fst strategies)));
-      ( "instances",
-        J.String (String.concat "," (List.map (fun i -> i.name) instances)) );
-    ]
+  let slots, summary =
+    execute ~jobs ~supervise ?harness_chaos ~ambient:true ?live ?checkpoint
+      ~resume
+      ~meta:
+        (matrix_meta ~mode:"sweep" ~seeds ~len:(Array.length tasks) proto
+           strategies instances)
+      ~encode:(fun r -> Some (encode r))
+      ~label:(fun (inst, (sname, _), seed, _) ->
+        Printf.sprintf "%s/%s/seed%d" inst.name sname seed)
+      ~weight:sweep_weight ~run:(sweep_task proto) tasks
   in
-  let replayed, journal = checkpoint_setup ~checkpoint ~resume ~meta ~len in
-  let todo =
-    Array.of_list
-      (List.filter_map
-         (fun idx ->
-           if Hashtbl.mem replayed idx then None else Some (idx, tasks.(idx)))
-         (List.init len Fun.id))
+  (* fresh rows decode from the same journal entry a replay reads *)
+  let row s_idx v s_replayed =
+    let s_csv =
+      Option.value ~default:"" (Option.bind (J.member "row" v) J.to_str)
+    in
+    let s_conforms =
+      match J.member "conforms" v with Some (J.Bool b) -> b | _ -> false
+    in
+    Some { s_idx; s_csv; s_conforms; s_replayed }
   in
-  let t0 = Supervisor.totals () in
-  let reports =
-    Supervisor.map ~policy:supervise ?chaos:harness_chaos ~jobs
-      ~f:(fun _ (idx, (inst, strat, seed, expected_elected)) ->
-        let r =
-          match live with
-          | None -> run_one ~strategy:strat ~seed ~expected_elected inst proto
-          | Some push ->
-              let sink = Qe_obs.Sink.create () in
-              let r =
-                Qe_obs.Sink.with_ambient sink (fun () ->
-                    run_one ~strategy:strat ~obs:sink ~seed ~expected_elected
-                      inst proto)
-              in
-              push (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-              r
-        in
-        (* journal at completion time: a kill -9 any time after this
-           line loses nothing of the task *)
-        Option.iter
-          (fun j ->
-            Checkpoint.append j idx
-              [ ("row", J.String (csv_row r)); ("conforms", J.Bool r.conforms) ])
-          journal;
-        r)
-      todo
+  let row s_idx = function
+    | Ran (r, _) -> row s_idx (J.Obj (encode r)) false
+    | Replayed v -> row s_idx v true
+    | Quarantined -> None
   in
-  Option.iter Checkpoint.close journal;
-  let t1 = Supervisor.totals () in
-  let fresh = Hashtbl.create 97 in
-  Array.iteri
-    (fun k rep ->
-      let idx, _ = todo.(k) in
-      Hashtbl.replace fresh idx rep)
-    reports;
-  let rows = ref [] in
-  let quarantined = ref [] in
-  for idx = len - 1 downto 0 do
-    match Hashtbl.find_opt replayed idx with
-    | Some v ->
-        let csv =
-          Option.value ~default:""
-            (Option.bind (J.member "row" v) J.to_str)
-        in
-        let conforms =
-          match J.member "conforms" v with Some (J.Bool b) -> b | _ -> false
-        in
-        rows :=
-          { s_idx = idx; s_csv = csv; s_conforms = conforms; s_replayed = true }
-          :: !rows
-    | None -> (
-        match Hashtbl.find_opt fresh idx with
-        | None -> ()
-        | Some rep -> (
-            match Supervisor.value rep with
-            | Some r ->
-                rows :=
-                  {
-                    s_idx = idx;
-                    s_csv = csv_row r;
-                    s_conforms = r.conforms;
-                    s_replayed = false;
-                  }
-                  :: !rows
-            | None ->
-                let inst, (sname, _), seed, _ = tasks.(idx) in
-                quarantined :=
-                  (idx, Printf.sprintf "%s/%s/seed%d" inst.name sname seed)
-                  :: !quarantined))
-  done;
-  ( !rows,
-    summary_of_totals ~len ~replayed_n:(Hashtbl.length replayed)
-      ~quarantined:!quarantined ~t0 ~t1 )
-
-let kind_of_name s = List.find_opt (fun k -> FKind.name k = s) FKind.all
+  (List.filter_map Fun.id (Array.to_list (Array.mapi row slots)), summary)
 
 let chaos_sweep_hardened ?(seeds = 8) ?(strategies = strategies)
     ?(watchdog = default_chaos_watchdog) ?(jobs = 1) ?live
     ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
-  let jobs = resolve_jobs jobs in
-  prewarm instances;
-  let tasks =
-    List.concat_map
-      (fun seed ->
-        let plans =
-          [
-            ("chaos", FPlan.chaos ~seed); ("crash-only", FPlan.crash_only ~seed);
-          ]
-        in
-        List.concat_map
-          (fun inst ->
-            let expected_elected = expected inst in
-            List.concat_map
-              (fun strategy ->
-                List.map
-                  (fun (plan_kind, plan) ->
-                    (seed, inst, expected_elected, strategy, plan_kind, plan))
-                  plans)
-              strategies)
-          instances)
-      (List.init seeds Fun.id)
-    |> Array.of_list
-  in
-  let len = Array.length tasks in
-  let meta =
-    [
-      ("mode", J.String "chaos");
-      ("protocol", J.String proto.Protocol.name);
-      ("tasks", J.Int len);
-      ("seeds", J.Int seeds);
-      ("strategies", J.String (String.concat "," (List.map fst strategies)));
-      ( "instances",
-        J.String (String.concat "," (List.map (fun i -> i.name) instances)) );
-    ]
-  in
-  let replayed, journal = checkpoint_setup ~checkpoint ~resume ~meta ~len in
-  let todo =
-    Array.of_list
-      (List.filter_map
-         (fun idx ->
-           if Hashtbl.mem replayed idx then None else Some (idx, tasks.(idx)))
-         (List.init len Fun.id))
-  in
-  let t0 = Supervisor.totals () in
-  let reports =
-    Supervisor.map ~policy:supervise ?chaos:harness_chaos ~jobs
-      ~f:(fun _ (idx, (seed, inst, expected_elected, strategy, plan_kind, plan))
-         ->
-        let r =
-          match live with
-          | None ->
-              chaos_run ~strategy ~seed ~watchdog ~plan_kind ~plan
-                ~expected_elected inst proto
-          | Some push ->
-              let sink = Qe_obs.Sink.create () in
-              let r =
-                chaos_run ~obs:sink ~strategy ~seed ~watchdog ~plan_kind ~plan
-                  ~expected_elected inst proto
-              in
-              push (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-              r
-        in
+  let tasks = chaos_matrix ~seeds ~strategies ~expected instances in
+  let slots, summary =
+    execute ~jobs ~supervise ?harness_chaos ?live ?checkpoint ~resume
+      ~meta:
+        (matrix_meta ~mode:"chaos" ~seeds:(J.Int seeds)
+           ~len:(Array.length tasks) proto strategies instances)
         (* violating runs are deliberately not journaled: a resume must
            re-run them and re-surface the (typed) violations *)
-        if r.c_violations = [] then
-          Option.iter
-            (fun j ->
-              Checkpoint.append j idx
-                [
-                  ("outcome", J.String (outcome_label r.c_outcome));
-                  ( "faults",
-                    J.List
-                      (List.map
-                         (fun (k, n) -> J.List [ J.String (FKind.name k); J.Int n ])
-                         r.c_faults) );
-                  ("leaders", J.Int r.c_leaders);
-                  ("turns", J.Int r.c_turns);
-                ])
-            journal;
-        r)
-      todo
+      ~encode:(fun r ->
+        if r.c_violations <> [] then None
+        else
+          Some
+            [
+              ("outcome", J.String (outcome_label r.c_outcome));
+              ( "faults",
+                J.List
+                  (List.map
+                     (fun (k, n) -> J.List [ J.String (FKind.name k); J.Int n ])
+                     r.c_faults) );
+              ("leaders", J.Int r.c_leaders);
+              ("turns", J.Int r.c_turns);
+            ])
+      ~label:(fun (_, inst, _, (sname, _), plan_kind, _) ->
+        Printf.sprintf "%s/%s/%s" inst.name sname plan_kind)
+      ~weight:chaos_weight ~run:(chaos_task proto watchdog) tasks
   in
-  Option.iter Checkpoint.close journal;
-  let t1 = Supervisor.totals () in
-  let fresh = Hashtbl.create 97 in
-  Array.iteri
-    (fun k rep ->
-      let idx, _ = todo.(k) in
-      Hashtbl.replace fresh idx rep)
-    reports;
-  (* the merged view: one (label, faults) per settled task, in canonical
-     matrix order, sourced from the journal or from this run — the
-     aggregates below are computed over it so a resumed sweep prints
-     exactly what the uninterrupted one would *)
-  let quarantined = ref [] in
-  let views = ref [] in
-  let records = ref [] in
-  for idx = len - 1 downto 0 do
-    match Hashtbl.find_opt replayed idx with
-    | Some v ->
+  let view = function
+    | Ran (r, _) -> Some (chaos_view r)
+    | Replayed v ->
         let label =
           Option.value ~default:"?"
             (Option.bind (J.member "outcome" v) J.to_str)
@@ -1011,63 +835,14 @@ let chaos_sweep_hardened ?(seeds = 8) ?(strategies = strategies)
               List.filter_map
                 (function
                   | J.List [ J.String name; J.Int n ] ->
-                      Option.map (fun k -> (k, n)) (kind_of_name name)
+                      List.find_opt (fun k -> FKind.name k = name) FKind.all
+                      |> Option.map (fun k -> (k, n))
                   | _ -> None)
                 l
           | _ -> []
         in
-        views := (label, faults) :: !views
-    | None -> (
-        match Hashtbl.find_opt fresh idx with
-        | None -> ()
-        | Some rep -> (
-            match Supervisor.value rep with
-            | Some r ->
-                records := r :: !records;
-                views := (outcome_label r.c_outcome, r.c_faults) :: !views
-            | None ->
-                let _, inst, _, (sname, _), plan_kind, _ = tasks.(idx) in
-                quarantined :=
-                  (idx, Printf.sprintf "%s/%s/%s" inst.name sname plan_kind)
-                  :: !quarantined))
-  done;
-  let views = !views in
-  let by_kind =
-    List.filter_map
-      (fun k ->
-        let n =
-          List.fold_left
-            (fun acc (_, faults) ->
-              acc
-              + (match List.assoc_opt k faults with Some n -> n | None -> 0))
-            0 views
-        in
-        if n > 0 then Some (k, n) else None)
-      FKind.all
+        Some (label, faults)
+    | Quarantined -> None
   in
-  let outcomes =
-    List.fold_left
-      (fun acc (l, _) ->
-        let n = match List.assoc_opt l acc with Some n -> n | None -> 0 in
-        (l, n + 1) :: List.remove_assoc l acc)
-      [] views
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  let report =
-    {
-      c_records = !records;
-      c_runs = List.length views;
-      c_faults_fired = List.fold_left (fun acc (_, n) -> acc + n) 0 by_kind;
-      c_by_kind = by_kind;
-      c_outcomes = outcomes;
-      c_zero_fault_runs =
-        List.length (List.filter (fun (_, faults) -> faults = []) views);
-      c_violating = List.filter (fun r -> r.c_violations <> []) !records;
-      c_metrics = [];
-      c_jobs = jobs;
-      c_cores = Domain.recommended_domain_count ();
-    }
-  in
-  ( report,
-    summary_of_totals ~len ~replayed_n:(Hashtbl.length replayed)
-      ~quarantined:!quarantined ~t0 ~t1 )
+  let views = List.filter_map view (Array.to_list slots) in
+  (chaos_report ~jobs ~metrics:[] (fresh slots) views, summary)

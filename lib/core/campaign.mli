@@ -1,5 +1,13 @@
 (** Experiment driver: the standard instance suite and batch runners used
-    by the benches, the CLI and the integration tests. *)
+    by the benches, the CLI and the integration tests.
+
+    Every runner below is one path, task matrix → executor → sinks: the
+    matrix is built once per mode in canonical order (sweep: instance →
+    strategy → seed; chaos: seed → instance → strategy → plan), a single
+    private executor runs it on {!Qe_par.Pool} — plain, or with each
+    task wrapped by {!Qe_par.Supervisor} — and feeds the results to the
+    [live] callback, the metric snapshots, the chaos trace and the
+    checkpoint journal. *)
 
 type instance = {
   name : string;
@@ -85,7 +93,7 @@ val sweep :
 
     [jobs] (default 1) runs the matrix on a {!Qe_par.Pool} of that many
     domains; [jobs:0] resolves to {!Qe_par.Pool.default_jobs} (the CLI's
-    [-j 0]). The record list is {e bit-identical} at any [jobs]: tasks
+    [-j 0], see {!Qe_par.Pool.resolve_jobs}). The record list is {e bit-identical} at any [jobs]: tasks
     are laid out in canonical sweep order, every run derives its RNG
     from its own seed (never from scheduling), and results are collected
     by task index. [jobs:1] bypasses the pool entirely. Instance sizes
@@ -164,8 +172,15 @@ type chaos_violation =
       outcome : Qe_runtime.Engine.outcome;
       verdicts : (Qe_color.Color.t * Qe_runtime.Protocol.verdict) list;
     }
+      (** safety: the engine certified a success outcome ([Elected] /
+          [Declared_unsolvable]) that contradicts the verdict set —
+          e.g. claimed an election while two agents returned [Leader].
+          Fault-induced divergence must always surface as
+          [Inconsistent], never be silently accepted. *)
   | Zero_fault_divergence of Qe_runtime.Engine.outcome
+      (** a run in which no fault fired must conform to the oracle *)
   | Crash_run_stuck of Qe_runtime.Engine.outcome
+      (** a crash-only run on a solvable Cayley instance must terminate *)
 
 val pp_chaos_violation : Format.formatter -> chaos_violation -> unit
 
@@ -233,27 +248,23 @@ val chaos_sweep :
     turn-based, so outcomes don't depend on wall time) — wall-clock
     [*_latency] histograms are therefore stripped from [c_metrics],
     though they stay in the trace's metric lines and in what [live]
-    sees. Traces differ
-    only in their metrics lines: at [jobs:1] each run appends its sink's
-    cumulative snapshot as before, while at [jobs > 1] per-run trace
-    lines are replayed to [obs] in canonical run order with a single
-    merged (unstripped) snapshot at the end — `qelect report` totals
-    agree either way — followed by the batch's [pool.batch] per-domain
-    span lanes when [obs] is streaming. [live] (domain-safe callback,
-    as in {!sweep}) receives one snapshot per run: the run's private
-    sink reading at [jobs > 1], the shared [obs] interval diff at
-    [jobs:1] (a private per-run sink if no [obs] is attached). A
-    [Timeout] in one task is an ordinary outcome and never
-    disturbs the other domains. *)
+    sees. The trace has one shape at every [jobs]: each run writes to a
+    private sink, its lines are replayed to [obs] in canonical run
+    order minus the per-run snapshots, then the batch's [pool.batch]
+    per-domain span lanes (when [obs] is streaming and the batch ran on
+    domains), then one merged (unstripped) snapshot. [live] (domain-safe callback, as in {!sweep}) receives
+    each run's private sink reading. A [Timeout] in one task is an
+    ordinary outcome and never disturbs the other domains. *)
 
 (** {1 Hardened campaigns}
 
     The self-healing variants behind [qelect sweep/chaos
-    --checkpoint/--resume]: the task matrix runs on
-    {!Qe_par.Supervisor} instead of the bare pool (per-task outcomes,
-    deadline/retry/backoff, quarantine, worker replacement), every
-    completed task is journaled to a crash-safe {!Checkpoint}, and a
-    resumed run replays the journal and executes only the missing
+    --checkpoint/--resume]: the same task matrix and executor as
+    {!sweep} / {!chaos_sweep}, with each task wrapped by
+    {!Qe_par.Supervisor} (per-task outcomes, deadline/retry/backoff,
+    quarantine, worker replacement) on the same work-stealing pool.
+    Every completed task is journaled to a crash-safe {!Checkpoint},
+    and a resumed run replays the journal and executes only the missing
     indices. Because each task is deterministic per index, the final
     output is identical whether the sweep ran once or was [kill -9]ed
     and resumed arbitrarily often, at any job count (modulo [wall_ns],

@@ -64,34 +64,19 @@ let decide t ~task ~attempt =
 
 (* ---------- the release latch ---------- *)
 
-type latch = { m : Mutex.t; c : Condition.t; mutable released : bool }
+type latch = bool Atomic.t
 
-let latch () = { m = Mutex.create (); c = Condition.create (); released = false }
+let latch () = Atomic.make false
+let release l = Atomic.set l true
 
-let release l =
-  Mutex.lock l.m;
-  if not l.released then begin
-    l.released <- true;
-    Condition.broadcast l.c
-  end;
-  Mutex.unlock l.m
-
-(* Block until released or the cap expires. Condition has no timed wait,
-   so park in short slices — a wedge simulates a hung domain; a few ms of
-   wake-up granularity is irrelevant to what it tests. *)
+(* Block until released or the cap expires, in short slices — a wedge
+   simulates a hung domain; a few ms of wake-up granularity is
+   irrelevant to what it tests. *)
 let park l ~cap_ns =
   let deadline = Clock.now_ns () + cap_ns in
-  Mutex.lock l.m;
-  let rec wait () =
-    if (not l.released) && Clock.now_ns () < deadline then begin
-      Mutex.unlock l.m;
-      Unix.sleepf 0.002;
-      Mutex.lock l.m;
-      wait ()
-    end
-  in
-  wait ();
-  Mutex.unlock l.m
+  while (not (Atomic.get l)) && Clock.now_ns () < deadline do
+    Unix.sleepf 0.002
+  done
 
 let run_action latch action ~task ~attempt ~wedge_cap_ns =
   match action with

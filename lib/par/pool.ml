@@ -1,11 +1,13 @@
-(* A fixed pool of domains chewing on one batch at a time.
+(* Domains chewing on one batch at a time — the only claim loop of the
+   process.
 
    Scheduling is size-aware and self-balancing (each participant owns a
    queue of indices, assigned largest-weight-first, and steals from the
    others when its own runs dry), determinism is structural: results
    land in the slot of their input index and errors are reported by
    smallest index, so nothing the caller can observe depends on which
-   domain ran what, or when. *)
+   domain ran what, or when. Supervised batches run on the same loop;
+   with a deadline the caller turns monitor (see [watched]). *)
 
 module Metrics = Qe_obs.Metrics
 module Sink = Qe_obs.Sink
@@ -16,27 +18,17 @@ module J = Qe_obs.Jsonl
 
 type batch = {
   run : int -> int -> unit;
-      (* [run i self]: stores its own result/error; never raises.
-         [self] is the participant id, recorded for the trace lanes. *)
+      (* [run i self]: stores its own result/error; never raises (but
+         [Abandoned], on a watched batch). [self] is the participant id,
+         recorded for the trace lanes. *)
   queues : int array array;  (* queues.(w): indices owned by participant w *)
   pos : int Atomic.t array;  (* next unclaimed slot of queues.(w) *)
   steals : int Atomic.t;  (* indices run by a non-owner *)
   drained : int array;  (* ns timestamp at which participant w ran dry *)
-  mutable active : int;  (* participants (workers + caller) still in *)
-}
-
-type t = {
-  jobs : int;
-  mutable workers : unit Domain.t list;  (* jobs - 1 spawned domains *)
-  m : Mutex.t;
-  have_work : Condition.t;
-  batch_done : Condition.t;
-  mutable batch : batch option;
-  mutable epoch : int;  (* bumped when a batch is published *)
-  mutable stop : bool;
 }
 
 let default_jobs () = max 1 (min (Domain.recommended_domain_count ()) 16)
+let resolve_jobs jobs = if jobs = 0 then default_jobs () else max 1 jobs
 
 (* ---------- process-wide scheduler totals ----------
 
@@ -68,13 +60,10 @@ let totals () =
   }
 
 let reset_totals () =
-  Atomic.set g_tasks 0;
-  Atomic.set g_batches 0;
-  Atomic.set g_steals 0;
-  Atomic.set g_idle_ns 0;
-  Mutex.lock g_reg_m;
-  g_reg := Metrics.create ();
-  Mutex.unlock g_reg_m
+  List.iter
+    (fun g -> Atomic.set g 0)
+    [ g_tasks; g_batches; g_steals; g_idle_ns ];
+  Mutex.protect g_reg_m (fun () -> g_reg := Metrics.create ())
 
 let metrics_snapshot () =
   let t = totals () in
@@ -86,10 +75,8 @@ let metrics_snapshot () =
       ("pool.tasks", Metrics.Counter t.tasks);
     ]
   in
-  Mutex.lock g_reg_m;
-  let hists = Metrics.snapshot !g_reg in
-  Mutex.unlock g_reg_m;
-  Metrics.merge counters hists
+  Metrics.merge counters
+    (Mutex.protect g_reg_m (fun () -> Metrics.snapshot !g_reg))
 
 (* ---------- size-aware assignment ----------
 
@@ -159,236 +146,297 @@ let chew b ~self =
     done
   done;
   if !stolen > 0 then ignore (Atomic.fetch_and_add b.steals !stolen);
-  (* written before the active-count decrement under the pool mutex, so
-     the caller's post-batch read is properly synchronized *)
+  (* written before the participant's domain is joined (or, for the
+     caller, on its own domain), so the post-batch read is synchronized *)
   b.drained.(self) <- Clock.now_ns ()
 
-let rec worker_loop t ~self ~seen =
-  Mutex.lock t.m;
-  while (not t.stop) && t.epoch = seen do
-    Condition.wait t.have_work t.m
-  done;
-  if t.stop then Mutex.unlock t.m
-  else begin
-    let epoch = t.epoch in
-    let b = Option.get t.batch in
-    Mutex.unlock t.m;
-    chew b ~self;
-    Mutex.lock t.m;
-    b.active <- b.active - 1;
-    if b.active = 0 then Condition.broadcast t.batch_done;
-    Mutex.unlock t.m;
-    worker_loop t ~self ~seen:epoch
-  end
+(* ---------- attempt claims (watched batches) ----------
 
-let create ?jobs () =
-  let jobs =
-    match jobs with
-    | None -> default_jobs ()
-    | Some j -> max 1 (min j 64)
+   On a watched batch every attempt of task [i] stamps its start into
+   [t_beg.(i)] and publishes a fresh claim token in [tok.(i)] ([0] = no
+   attempt in flight). The attempt's result counts only if the token is
+   still its own when it returns; the monitor times an attempt out by
+   swapping its token for [0], so exactly one side wins and a late
+   result unwinds its (abandoned) participant with [Abandoned]. *)
+
+exception Abandoned
+
+type watch = {
+  tok : int Atomic.t array;
+  next_tok : int Atomic.t;
+  t_beg : int array;
+  runner : int array;  (* participant running task i *)
+  left : int Atomic.t;  (* tasks not yet settled *)
+  wake : Unix.file_descr * Unix.file_descr;  (* one byte when left = 0 *)
+}
+
+let current : (watch * int) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let attempt k =
+  match Domain.DLS.get current with
+  | None -> k ()
+  | Some (w, i) ->
+      let c = Atomic.fetch_and_add w.next_tok 1 in
+      w.t_beg.(i) <- Clock.now_ns ();
+      Atomic.set w.tok.(i) c;
+      let r = k () in
+      if Atomic.compare_and_set w.tok.(i) c 0 then r else raise Abandoned
+
+(* ---------- one batch, whoever drives it ----------
+
+   Every batch gets participants of its own, spawned for it and joined
+   after it. Per-task bookkeeping on the way in, telemetry and result
+   collection after the join. [drive b task] runs [b] to completion;
+   [task i self body] runs [body] as task [i] on participant [self],
+   which is how a watched batch hands a timed-out task's next attempt
+   to the participant replacing its runner. *)
+
+let exec ~parts ?weight ?watch ~f arr drive =
+  let len = Array.length arr in
+  let results = Array.make len None in
+  let errors = Array.make len None in
+  (* per-task wall-clock envelope and runner id, for the latency
+     histograms and the per-domain trace lanes; the post-barrier
+     synchronization makes the plain stores safe to read below *)
+  let t_beg =
+    match watch with Some w -> w.t_beg | None -> Array.make len 0
   in
-  let t =
+  let t_fin = Array.make len 0 in
+  let runner =
+    match watch with Some w -> w.runner | None -> Array.make len (-1)
+  in
+  let task i self body =
+    t_beg.(i) <- Clock.now_ns ();
+    runner.(i) <- self;
+    Option.iter (fun w -> Domain.DLS.set current (Some (w, i))) watch;
+    (match body () with
+    | v -> results.(i) <- Some v
+    | exception Abandoned -> raise Abandoned
+    | exception e -> errors.(i) <- Some e);
+    t_fin.(i) <- Clock.now_ns ();
+    Option.iter
+      (fun w ->
+        Domain.DLS.set current None;
+        if Atomic.fetch_and_add w.left (-1) = 1 then
+          ignore (Unix.write_substring (snd w.wake) "." 0 1))
+      watch
+  in
+  let weights =
+    match weight with
+    | None -> Array.make len 1
+    | Some w -> Array.init len (fun i -> max 1 (w i arr.(i)))
+  in
+  let b =
     {
-      jobs;
-      workers = [];
-      m = Mutex.create ();
-      have_work = Condition.create ();
-      batch_done = Condition.create ();
-      batch = None;
-      epoch = 0;
-      stop = false;
+      run = (fun i self -> task i self (fun () -> f i arr.(i)));
+      queues = assign ~jobs:parts ~weights len;
+      pos = Array.init parts (fun _ -> Atomic.make 0);
+      steals = Atomic.make 0;
+      drained = Array.make parts 0;
     }
   in
-  t.workers <-
-    List.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t ~self:(i + 1) ~seen:0));
-  t
-
-let jobs t = t.jobs
-
-let map t ?weight ~f arr =
-  let len = Array.length arr in
-  if len = 0 then [||]
-  else if t.jobs = 1 || len = 1 then Array.mapi f arr
-  else begin
-    let results = Array.make len None in
-    let errors = Array.make len None in
-    (* per-task wall-clock envelope and runner id, for the latency
-       histograms and the per-domain trace lanes; the post-barrier mutex
-       synchronization makes the plain stores safe to read below *)
-    let t_beg = Array.make len 0 in
-    let t_fin = Array.make len 0 in
-    let runner = Array.make len (-1) in
-    let run i self =
-      t_beg.(i) <- Clock.now_ns ();
-      (match f i arr.(i) with
-      | v -> results.(i) <- Some v
-      | exception e -> errors.(i) <- Some e);
-      t_fin.(i) <- Clock.now_ns ();
-      runner.(i) <- self
-    in
-    let weights =
-      match weight with
-      | None -> Array.make len 1
-      | Some w -> Array.init len (fun i -> max 1 (w i arr.(i)))
-    in
-    let b =
-      {
-        run;
-        queues = assign ~jobs:t.jobs ~weights len;
-        pos = Array.init t.jobs (fun _ -> Atomic.make 0);
-        steals = Atomic.make 0;
-        drained = Array.make t.jobs 0;
-        active = t.jobs;
-      }
-    in
-    let t_pub = Clock.now_ns () in
-    Mutex.lock t.m;
-    if t.stop then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool.map: pool is shut down"
-    end;
-    if t.batch <> None then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool.map: pool is already running a batch"
-    end;
-    t.batch <- Some b;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.have_work;
-    Mutex.unlock t.m;
-    (* the caller is a worker too *)
-    chew b ~self:0;
-    Mutex.lock t.m;
-    b.active <- b.active - 1;
-    while b.active > 0 do
-      Condition.wait t.batch_done t.m
+  let t_pub = Clock.now_ns () in
+  drive b task;
+  (* the barrier is the moment the last participant ran dry; joining
+     the domains afterwards is teardown, not idling *)
+  let t_end = Array.fold_left max t_pub b.drained in
+  (* per-participant gap between running dry and the batch barrier: the
+     imbalance stealing could not hide *)
+  let tail w = if b.drained.(w) > 0 then max 0 (t_end - b.drained.(w)) else 0 in
+  let idle = Array.fold_left ( + ) 0 (Array.init parts tail) in
+  let steals = Atomic.get b.steals in
+  let counts =
+    [ ("pool.tasks", g_tasks, len); ("pool.batches", g_batches, 1);
+      ("pool.steal", g_steals, steals); ("pool.idle_ns", g_idle_ns, idle) ]
+  in
+  List.iter (fun (_, g, n) -> ignore (Atomic.fetch_and_add g n)) counts;
+  let observe_latencies m =
+    let ht = Metrics.latency m "pool.task_latency" in
+    let hi = Metrics.latency m "pool.idle_latency" in
+    for i = 0 to len - 1 do
+      Metrics.observe ht (t_fin.(i) - t_beg.(i))
     done;
-    t.batch <- None;
-    Mutex.unlock t.m;
-    (* every worker's stores happen-before the final mutex
-       synchronization above, so plain array reads are safe here *)
-    let t_end = Clock.now_ns () in
-    let idle =
-      (* per-participant gap between running dry and the batch barrier:
-         the imbalance stealing could not hide *)
-      Array.fold_left (fun acc d -> acc + max 0 (t_end - d)) 0 b.drained
-    in
-    let steals = Atomic.get b.steals in
-    ignore (Atomic.fetch_and_add g_tasks len);
-    ignore (Atomic.fetch_and_add g_batches 1);
-    ignore (Atomic.fetch_and_add g_steals steals);
-    ignore (Atomic.fetch_and_add g_idle_ns idle);
-    let observe_latencies m =
-      let ht = Metrics.latency m "pool.task_latency" in
-      for i = 0 to len - 1 do
-        Metrics.observe ht (t_fin.(i) - t_beg.(i))
-      done;
-      let hi = Metrics.latency m "pool.idle_latency" in
-      Array.iter
-        (fun d ->
-          let gap = t_end - d in
-          if gap > 0 then Metrics.observe hi gap)
-        b.drained
-    in
-    Mutex.lock g_reg_m;
-    observe_latencies !g_reg;
-    Mutex.unlock g_reg_m;
-    (match Sink.ambient () with
-    | None -> ()
-    | Some s ->
-        let m = s.Sink.metrics in
-        Metrics.add (Metrics.counter m "pool.tasks") len;
-        Metrics.incr (Metrics.counter m "pool.batches");
-        Metrics.add (Metrics.counter m "pool.steal") steals;
-        Metrics.add (Metrics.counter m "pool.idle_ns") idle;
-        observe_latencies m;
-        (* one [pool.batch] span tree per participant: its tasks in
-           start order (stolen ones flagged), then the idle tail it
-           spent blocked on the barrier — the per-domain lanes of the
-           Chrome-trace export *)
-        let owner = Array.make len 0 in
-        Array.iteri
-          (fun w q -> Array.iter (fun i -> owner.(i) <- w) q)
-          b.queues;
-        let by_runner = Array.make t.jobs [] in
-        for i = len - 1 downto 0 do
-          let w = runner.(i) in
-          if w >= 0 then by_runner.(w) <- i :: by_runner.(w)
-        done;
-        Array.iteri
-          (fun w is ->
-            let is = List.sort (fun a c -> compare t_beg.(a) t_beg.(c)) is in
-            let tasks =
-              List.map
-                (fun i ->
-                  {
-                    Span.name = "pool.task";
-                    start_ns = t_beg.(i);
-                    dur_ns = t_fin.(i) - t_beg.(i);
-                    attrs =
-                      [
-                        ("idx", J.Int i); ("stolen", J.Bool (owner.(i) <> w));
-                      ];
-                    children = [];
-                  })
-                is
-            in
-            let tail =
-              let gap = t_end - b.drained.(w) in
-              if gap <= 0 then []
-              else
-                [
-                  {
-                    Span.name = "pool.idle";
-                    start_ns = b.drained.(w);
-                    dur_ns = gap;
-                    attrs = [];
-                    children = [];
-                  };
-                ]
-            in
-            let stolen =
-              List.length (List.filter (fun i -> owner.(i) <> w) is)
-            in
-            let root =
-              {
-                Span.name = "pool.batch";
-                start_ns = t_pub;
-                dur_ns = t_end - t_pub;
-                attrs =
-                  [
-                    ("domain", J.Int w);
-                    ("tasks", J.Int (List.length is));
-                    ("stolen", J.Int stolen);
-                  ];
-                children = tasks @ tail;
-              }
-            in
-            Span.add_root s.Sink.spans root;
-            Sink.emit s (Export.Span_tree root))
-          by_runner);
-    Array.iter (function Some e -> raise e | None -> ()) errors;
-    Array.map Option.get results
-  end
+    for w = 0 to parts - 1 do
+      if tail w > 0 then Metrics.observe hi (tail w)
+    done
+  in
+  Mutex.protect g_reg_m (fun () -> observe_latencies !g_reg);
+  Option.iter
+    (fun s ->
+      let m = s.Sink.metrics in
+      List.iter
+        (fun (name, _, n) -> Metrics.add (Metrics.counter m name) n)
+        counts;
+      observe_latencies m;
+      (* one [pool.batch] span tree per participant: its tasks in start
+         order (stolen ones flagged), then the idle tail it spent blocked
+         on the barrier — the per-domain lanes of the Chrome-trace
+         export *)
+      let owner = Array.make len 0 in
+      Array.iteri (fun w q -> Array.iter (fun i -> owner.(i) <- w) q) b.queues;
+      let span name start_ns dur_ns attrs children =
+        { Span.name; start_ns; dur_ns; attrs; children }
+      in
+      for w = 0 to parts - 1 do
+        let is =
+          List.filter (fun i -> runner.(i) = w) (List.init len Fun.id)
+          |> List.stable_sort (fun a c -> compare t_beg.(a) t_beg.(c))
+        in
+        let stolen i = owner.(i) <> w in
+        let tasks =
+          List.map
+            (fun i ->
+              span "pool.task" t_beg.(i) (t_fin.(i) - t_beg.(i))
+                [ ("idx", J.Int i); ("stolen", J.Bool (stolen i)) ] [])
+            is
+        in
+        let idle_span =
+          if tail w > 0 then [ span "pool.idle" b.drained.(w) (tail w) [] [] ]
+          else []
+        in
+        let root =
+          span "pool.batch" t_pub (t_end - t_pub)
+            [ ("domain", J.Int w); ("tasks", J.Int (List.length is));
+              ("stolen", J.Int (List.length (List.filter stolen is))) ]
+            (tasks @ idle_span)
+        in
+        Span.add_root s.Sink.spans root;
+        Sink.emit s (Export.Span_tree root)
+      done)
+    (Sink.ambient ());
+  Array.iter (function Some e -> raise e | None -> ()) errors;
+  Array.map Option.get results
 
-let shutdown t =
-  Mutex.lock t.m;
-  if t.stop then Mutex.unlock t.m
-  else begin
-    t.stop <- true;
-    Condition.broadcast t.have_work;
-    Mutex.unlock t.m;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+(* A plain batch: [parts - 1] fresh domains plus the caller, all
+   chewing; joining them is the batch barrier. *)
+let spawn_and_chew b _task =
+  let domains =
+    List.init
+      (Array.length b.queues - 1)
+      (fun p -> Domain.spawn (fun () -> chew b ~self:(p + 1)))
+  in
+  chew b ~self:0;
+  List.iter Domain.join domains
 
 let run ?(jobs = 1) ?weight ~f arr =
   let len = Array.length arr in
   if jobs <= 1 || len <= 1 then Array.mapi f arr
   else
     (* never spawn more domains than there are items to run *)
-    with_pool ~jobs:(min jobs len) (fun t -> map t ?weight ~f arr)
+    exec ~parts:(min (min jobs 64) len) ?weight ~f arr spawn_and_chew
+
+type t = { jobs : int; busy : bool Atomic.t; stopped : bool Atomic.t }
+
+let create ?jobs () =
+  let jobs =
+    match jobs with None -> default_jobs () | Some j -> max 1 (min j 64)
+  in
+  { jobs; busy = Atomic.make false; stopped = Atomic.make false }
+
+let jobs t = t.jobs
+
+let map t ?weight ~f arr =
+  if t.jobs = 1 || Array.length arr <= 1 then Array.mapi f arr
+  else if Atomic.get t.stopped then invalid_arg "Pool.map: pool is shut down"
+  else if not (Atomic.compare_and_set t.busy false true) then
+    invalid_arg "Pool.map: pool is already running a batch"
+  else
+    Fun.protect
+      ~finally:(fun () -> Atomic.set t.busy false)
+      (fun () -> run ~jobs:t.jobs ?weight ~f arr)
+
+let shutdown t = Atomic.set t.stopped true
+
+let with_pool ?jobs f =
+  let t = create ?jobs () in
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+(* ---------- watched batches (deadlines) ----------
+
+   Every participant is a fresh domain of its own and the caller is the
+   monitor: it sleeps until the earliest in-flight attempt could
+   overrun (or the last task settles — the [wake] pipe makes the sleep
+   a timed wait, never a polling nap), times overrun attempts out,
+   writes their participants off and puts a fresh domain on each
+   abandoned queue id, starting with the timed-out task's next attempt.
+   Past [max_replacements] the caller takes the queue over itself and
+   runs what remains inline. OCaml domains cannot be killed: an
+   abandoned domain is joined only if it has already exited. *)
+
+let watched ~jobs ?weight ~deadline_ns ~max_replacements ~on_overrun ~f arr =
+  let len = Array.length arr in
+  let parts = max 1 (min (min jobs 64) len) in
+  let wake = Unix.pipe ~cloexec:true () in
+  let w =
+    {
+      tok = Array.init len (fun _ -> Atomic.make 0);
+      next_tok = Atomic.make 1;
+      t_beg = Array.make len 0;
+      runner = Array.make len (-1);
+      left = Atomic.make len;
+      wake;
+    }
+  in
+  let replaced = ref 0 and degraded = ref false in
+  let drive b task =
+    let occupant = Array.make parts None in
+    let abandoned = ref [] in
+    let participate p first =
+      try
+        Option.iter (fun (i, k) -> task i p k) first;
+        chew b ~self:p
+      with Abandoned -> ()
+    in
+    let occupy p first =
+      let exited = Atomic.make false in
+      let body () = participate p first; Atomic.set exited true in
+      occupant.(p) <- Some (Domain.spawn body, exited)
+    in
+    for p = 0 to parts - 1 do
+      occupy p None
+    done;
+    let overrun i ~started ~now =
+      let p = w.runner.(i) in
+      Option.iter (fun d -> abandoned := d :: !abandoned) occupant.(p);
+      occupant.(p) <- None;
+      let first = Some (i, on_overrun i ~started ~now) in
+      if !replaced < max_replacements then begin
+        incr replaced;
+        occupy p first
+      end
+      else begin
+        degraded := true;
+        participate p first
+      end
+    in
+    while Atomic.get w.left > 0 do
+      let now = Clock.now_ns () in
+      let next = ref (now + deadline_ns) in
+      for i = 0 to len - 1 do
+        let c = Atomic.get w.tok.(i) in
+        if c > 0 then begin
+          let started = w.t_beg.(i) in
+          if now - started <= deadline_ns then
+            next := min !next (started + deadline_ns + 1)
+          else if Atomic.compare_and_set w.tok.(i) c 0 then
+            overrun i ~started ~now
+        end
+      done;
+      let dt = float_of_int (!next - Clock.now_ns ()) /. 1e9 in
+      if dt > 0. && Atomic.get w.left > 0 then
+        try ignore (Unix.select [ fst wake ] [] [] dt)
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done;
+    Array.iter (Option.iter (fun (d, _) -> Domain.join d)) occupant;
+    List.iter
+      (fun (d, exited) -> if Atomic.get exited then Domain.join d)
+      !abandoned
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close (fst wake);
+      Unix.close (snd wake))
+    (fun () ->
+      let results = exec ~parts ?weight ~watch:w ~f arr drive in
+      (results, !replaced, !degraded))

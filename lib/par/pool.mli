@@ -1,4 +1,10 @@
-(** A fixed-size domain pool with size-aware work stealing.
+(** A fixed-size domain pool with size-aware work stealing — the one
+    scheduler of the process: plain batches, supervised batches
+    ({!Supervisor} wraps each task in its attempt loop and runs on
+    {!run}) and deadline-watched batches ({!watched}) all claim work
+    through the same LPT queues and stealing. Every batch spawns its
+    own participant domains and joins them at its end, so no domain
+    idles between batches.
 
     The pool exists for one job shape: embarrassingly parallel sweeps
     whose results must be {e bit-identical} to the sequential run. The
@@ -20,8 +26,8 @@
       such as [Engine.Timeout] are ordinary results, not exceptions —
       a watchdog firing in one domain never disturbs the others.
 
-    {b Scheduling.} Each participant (the [jobs - 1] spawned domains
-    plus the caller) owns a queue of indices assigned up front by
+    {b Scheduling.} Each participant (the batch's [jobs - 1] spawned
+    domains plus the caller) owns a queue of indices assigned up front by
     weighted LPT (largest weight first to the least-loaded queue; a
     round-robin deal when no [weight] is given). A participant drains
     its own queue off a private atomic cursor, then {e steals} from the
@@ -48,14 +54,19 @@ type t
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] capped at 16 — the pool is for
-    instance-level parallelism, not for oversubscribing the machine.
-    This is also what [-j 0] resolves to throughout the CLI. *)
+    instance-level parallelism, not for oversubscribing the machine. *)
+
+val resolve_jobs : int -> int
+(** A [-j] value as the CLI and the campaigns read it: [0] means "ask
+    the machine" ({!default_jobs}), anything else is clamped to
+    [>= 1]. *)
 
 val create : ?jobs:int -> unit -> t
-(** A pool of [jobs] workers (default {!default_jobs}; clamped to
-    [1, 64]). [jobs - 1] domains are spawned — the caller's domain is
-    the remaining worker, so [jobs:1] spawns nothing and {!map} runs
-    the plain sequential loop. *)
+(** A pool of [jobs] participants (default {!default_jobs}; clamped to
+    [1, 64]). Each batch spawns its own [jobs - 1] domains and joins
+    them when it ends — the caller's domain is the remaining
+    participant — so [jobs:1] never spawns anything and {!map} runs the
+    plain sequential loop. *)
 
 val jobs : t -> int
 
@@ -73,10 +84,12 @@ val map : t -> ?weight:(int -> 'a -> int) -> f:(int -> 'a -> 'b) -> 'a array -> 
     depend on it, and stealing mops up whatever it mispredicts.
 
     Empty input returns [[||]] immediately; a single item (or a 1-job
-    pool) runs in the caller's domain without touching the pool. *)
+    pool) runs in the caller's domain without touching the pool, and a
+    batch never spawns more domains than it has items (as {!run}). *)
 
 val shutdown : t -> unit
-(** Join the worker domains. Idempotent; the pool is unusable after. *)
+(** Retire the pool (no domain outlives a batch, so there is nothing to
+    join). Idempotent; the pool is unusable after. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, and [shutdown] (also on exception). *)
@@ -110,3 +123,40 @@ val metrics_snapshot : unit -> Qe_obs.Metrics.snapshot
 (** {!totals} as sorted [pool.*] counters, plus the process-wide
     [pool.task_latency] / [pool.idle_latency] histograms — a ready-made
     source for {!Qe_obs.Expose}. *)
+
+(** {1 Supervision hooks}
+
+    What {!Supervisor} needs from the scheduler beyond {!run}: per-attempt
+    claims and a deadline monitor. Not meant for other callers. *)
+
+val attempt : (unit -> 'r) -> 'r
+(** [attempt k] runs one attempt of the current task. Outside a
+    {!watched} batch it is just [k ()]. Inside one it stamps the
+    attempt's start for the monitor and takes a claim token; if the
+    monitor timed the attempt out meanwhile, the result is discarded and
+    the participant unwinds (its queue already belongs to a
+    replacement). *)
+
+val watched :
+  jobs:int ->
+  ?weight:(int -> 'a -> int) ->
+  deadline_ns:int ->
+  max_replacements:int ->
+  on_overrun:(int -> started:int -> now:int -> unit -> 'b) ->
+  f:(int -> 'a -> 'b) ->
+  'a array ->
+  'b array * int * bool
+(** {!run} with a per-attempt wall-clock deadline. The [jobs]
+    participants ([min jobs length], at most 64) are all fresh domains;
+    the caller is the monitor. It sleeps until the earliest in-flight
+    attempt (see {!attempt}) could overrun or the last task settles,
+    and times an overrun attempt out: its claim is invalidated, and the
+    participant is abandoned — a fresh domain takes over its queue id
+    and first settles task [i] by running its continuation
+    [on_overrun i ~started ~now] (the next attempt, or the final
+    report). After
+    [max_replacements] replacements the caller takes over the queue
+    itself and runs what remains inline. Returns the results, the
+    number of replacement domains spawned, and whether the batch
+    degraded to inline execution. An abandoned domain that has not
+    exited is never joined. *)

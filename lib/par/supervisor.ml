@@ -1,11 +1,12 @@
-(* Supervised batch execution.
+(* Supervised batch execution: a per-task wrapper on the pool.
 
    The pool's contract ("a task never misbehaves") is inverted here:
    every task settles to its own outcome, failures are retried on a
-   seeded deterministic backoff schedule and finally quarantined, and a
-   deadline overrun writes the worker domain off as wedged — it is
-   abandoned (domains cannot be killed), a replacement is spawned, and
-   its late result is discarded via per-attempt claim tokens. *)
+   seeded deterministic backoff schedule and finally quarantined. The
+   wrapper is the attempt loop below; it runs on [Pool.run], or on
+   [Pool.watched] when a deadline is set — there the pool's monitor
+   times overrun attempts out and hands the task's continuation (built
+   by [fail] here) to the participant replacing the wedged one. *)
 
 module Metrics = Qe_obs.Metrics
 module Sink = Qe_obs.Sink
@@ -68,7 +69,9 @@ let backoff_ns p ~task ~attempt =
     end
   end
 
-(* ---------- process-wide supervision totals ---------- *)
+(* ---------- process-wide supervision totals ----------
+
+   One atomic per [pool.*] counter, in metric-name order. *)
 
 type totals = {
   supervised : int;
@@ -80,405 +83,68 @@ type totals = {
   chaos_injected : int;
 }
 
-let g_supervised = Atomic.make 0
-let g_retries = Atomic.make 0
-let g_timeouts = Atomic.make 0
-let g_quarantined = Atomic.make 0
-let g_replaced = Atomic.make 0
-let g_degraded = Atomic.make 0
-let g_chaos = Atomic.make 0
+let names =
+  [| "pool.chaos.injected"; "pool.degraded"; "pool.quarantine"; "pool.retry";
+     "pool.supervised"; "pool.timeout"; "pool.worker.replaced" |]
+
+let g = Array.map (fun _ -> Atomic.make 0) names
 
 let totals () =
+  let v k = Atomic.get g.(k) in
   {
-    supervised = Atomic.get g_supervised;
-    retries = Atomic.get g_retries;
-    timeouts = Atomic.get g_timeouts;
-    quarantined = Atomic.get g_quarantined;
-    replaced = Atomic.get g_replaced;
-    degraded = Atomic.get g_degraded;
-    chaos_injected = Atomic.get g_chaos;
+    chaos_injected = v 0;
+    degraded = v 1;
+    quarantined = v 2;
+    retries = v 3;
+    supervised = v 4;
+    timeouts = v 5;
+    replaced = v 6;
   }
 
-let reset_totals () =
-  List.iter
-    (fun a -> Atomic.set a 0)
-    [
-      g_supervised; g_retries; g_timeouts; g_quarantined; g_replaced;
-      g_degraded; g_chaos;
-    ]
+let reset_totals () = Array.iter (fun a -> Atomic.set a 0) g
 
 let metrics_snapshot () =
-  let t = totals () in
-  [
-    ("pool.chaos.injected", Metrics.Counter t.chaos_injected);
-    ("pool.degraded", Metrics.Counter t.degraded);
-    ("pool.quarantine", Metrics.Counter t.quarantined);
-    ("pool.retry", Metrics.Counter t.retries);
-    ("pool.supervised", Metrics.Counter t.supervised);
-    ("pool.timeout", Metrics.Counter t.timeouts);
-    ("pool.worker.replaced", Metrics.Counter t.replaced);
-  ]
-
-(* ---------- batch state ---------- *)
-
-type status =
-  | Pending of { not_before : int; attempt : int }
-  | Running of { claim : int; started : int; attempt : int; worker : int }
-  | Settled
-
-type retry_ev = {
-  r_task : int;
-  r_attempt : int;
-  r_why : string;
-  r_start : int;
-  r_dur : int;
-  r_backoff : int;
-}
-
-type wrec = {
-  w_id : int;
-  mutable w_dom : unit Domain.t option;
-  mutable w_abandoned : bool;
-  mutable w_exited : bool;
-}
-
-type ('a, 'b) batch = {
-  m : Mutex.t;
-  changed : Condition.t;
-  arr : 'a array;
-  f : int -> 'a -> 'b;
-  pol : policy;
-  chaos : Harness_chaos.t option;
-  lat : Harness_chaos.latch;
-  status : status array;
-  reports : 'b report option array;
-  mutable settled : int;
-  mutable n_pending : int;
-  mutable claim_ctr : int;
-  mutable worker_ctr : int;
-  mutable workers : wrec list;
-  (* batch telemetry, folded into the globals and the ambient sink once,
-     on the monitor, after the batch *)
-  mutable b_retries : int;
-  mutable b_timeouts : int;
-  mutable b_quarantined : int;
-  mutable b_replaced : int;
-  mutable b_degraded : bool;
-  mutable b_chaos : int;
-  mutable retry_log : retry_ev list;  (* newest first *)
-}
+  Array.to_list
+    (Array.mapi (fun k n -> (n, Metrics.Counter (Atomic.get g.(k)))) names)
 
 let why_of_exn = function
   | Harness_chaos.Killed _ -> "chaos-kill"
   | Harness_chaos.Wedged _ -> "chaos-wedge"
   | e -> Printexc.to_string e
 
-(* smallest ready Pending index: claim order is deterministic-ish and,
-   more importantly, starvation-free *)
-let find_ready b now =
-  let len = Array.length b.status in
-  let rec go i =
-    if i >= len then None
-    else
-      match b.status.(i) with
-      | Pending { not_before; attempt } when not_before <= now ->
-          Some (i, attempt)
-      | _ -> go (i + 1)
+(* Batch telemetry, folded into the globals and the ambient sink once,
+   on the caller, after the batch. Retries and quarantines are read off
+   the reports; the [pool.retry] spans are logged per index, so they
+   come out in task order. *)
+let flush_telemetry ~injected ~timeouts ~replaced ~degraded reports logs =
+  let sum f = Array.fold_left (fun acc x -> acc + f x) 0 reports in
+  let deltas =
+    [|
+      injected;
+      Bool.to_int degraded;
+      sum (fun (r : _ report) -> Bool.to_int r.quarantined);
+      sum (fun (r : _ report) -> r.attempts - 1);
+      Array.length reports;
+      timeouts;
+      replaced;
+    |]
   in
-  if b.n_pending = 0 then None else go 0
+  Array.iteri (fun k d -> ignore (Atomic.fetch_and_add g.(k) d)) deltas;
+  Option.iter
+    (fun s ->
+      Array.iteri
+        (fun k d ->
+          if d > 0 then
+            Metrics.add (Metrics.counter s.Sink.metrics names.(k)) d)
+        deltas;
+      Array.iter
+        (List.iter (fun root ->
+             Span.add_root s.Sink.spans root;
+             Sink.emit s (Export.Span_tree root)))
+        (Array.map List.rev logs))
+    (Sink.ambient ())
 
-let settle b i rep =
-  b.status.(i) <- Settled;
-  b.reports.(i) <- Some rep;
-  b.settled <- b.settled + 1;
-  Condition.broadcast b.changed
-
-(* one attempt, outside the lock: chaos decision, fault side, the task *)
-let execute b i attempt =
-  let act =
-    match b.chaos with
-    | None -> Harness_chaos.Pass
-    | Some c -> Harness_chaos.decide c ~task:i ~attempt
-  in
-  let wedge_cap_ns =
-    match b.chaos with Some c -> c.Harness_chaos.wedge_cap_ns | None -> 0
-  in
-  let t0 = Clock.now_ns () in
-  let res =
-    try
-      Harness_chaos.run_action b.lat act ~task:i ~attempt ~wedge_cap_ns;
-      Ok (b.f i b.arr.(i))
-    with e -> Error e
-  in
-  (act, res, t0, Clock.now_ns ())
-
-(* with the lock held: settle, retry or discard (stale claim) *)
-let dispose b i ~claim ~attempt act res t0 t1 =
-  if act <> Harness_chaos.Pass then b.b_chaos <- b.b_chaos + 1;
-  match b.status.(i) with
-  | Running { claim = c; _ } when c = claim -> (
-      match res with
-      | Ok v ->
-          settle b i { outcome = Done v; attempts = attempt; quarantined = false }
-      | Error e ->
-          let why = why_of_exn e in
-          if attempt >= b.pol.max_attempts then begin
-            b.b_quarantined <- b.b_quarantined + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = 0;
-              }
-              :: b.retry_log;
-            settle b i
-              { outcome = Failed e; attempts = attempt; quarantined = true }
-          end
-          else begin
-            let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
-            b.status.(i) <-
-              Pending { not_before = t1 + bo; attempt = attempt + 1 };
-            b.n_pending <- b.n_pending + 1;
-            b.b_retries <- b.b_retries + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = bo;
-              }
-              :: b.retry_log;
-            Condition.broadcast b.changed
-          end)
-  | _ -> ()  (* the monitor timed this attempt out; result discarded *)
-
-let claim b i attempt ~worker now =
-  b.claim_ctr <- b.claim_ctr + 1;
-  let c = b.claim_ctr in
-  b.status.(i) <- Running { claim = c; started = now; attempt; worker };
-  b.n_pending <- b.n_pending - 1;
-  c
-
-let worker_loop b w =
-  Mutex.lock b.m;
-  let len = Array.length b.arr in
-  let rec loop () =
-    if b.settled >= len || w.w_abandoned then ()
-    else begin
-      let now = Clock.now_ns () in
-      match find_ready b now with
-      | Some (i, attempt) ->
-          let c = claim b i attempt ~worker:w.w_id now in
-          Mutex.unlock b.m;
-          let act, res, t0, t1 = execute b i attempt in
-          Mutex.lock b.m;
-          dispose b i ~claim:c ~attempt act res t0 t1;
-          loop ()
-      | None ->
-          if b.n_pending = 0 then begin
-            (* everything is running or settled: sleep until a settle,
-               a retry or a monitor reschedule changes that *)
-            Condition.wait b.changed b.m;
-            loop ()
-          end
-          else begin
-            (* a retry is parked in the future; nap in short slices
-               (Condition has no timed wait) *)
-            Mutex.unlock b.m;
-            Unix.sleepf 0.001;
-            Mutex.lock b.m;
-            loop ()
-          end
-    end
-  in
-  loop ();
-  w.w_exited <- true;
-  Mutex.unlock b.m
-
-let spawn_worker b =
-  b.worker_ctr <- b.worker_ctr + 1;
-  let w =
-    { w_id = b.worker_ctr; w_dom = None; w_abandoned = false; w_exited = false }
-  in
-  b.workers <- w :: b.workers;
-  w.w_dom <- Some (Domain.spawn (fun () -> worker_loop b w));
-  w
-
-(* deadline scan: time out overrun attempts, write their workers off,
-   replace or degrade. Called with the lock held. *)
-let scan_deadlines b d now =
-  Array.iteri
-    (fun i st ->
-      match st with
-      | Running { claim = _; started; attempt; worker }
-        when now - started > d ->
-          b.b_timeouts <- b.b_timeouts + 1;
-          (match List.find_opt (fun w -> w.w_id = worker) b.workers with
-          | Some w when not w.w_abandoned ->
-              w.w_abandoned <- true;
-              if b.b_replaced < b.pol.max_replacements then begin
-                b.b_replaced <- b.b_replaced + 1;
-                ignore (spawn_worker b)
-              end
-              else b.b_degraded <- true
-          | _ -> ());
-          b.retry_log <-
-            {
-              r_task = i; r_attempt = attempt; r_why = "timeout";
-              r_start = started; r_dur = now - started; r_backoff = 0;
-            }
-            :: b.retry_log;
-          if attempt >= b.pol.max_attempts then begin
-            b.b_quarantined <- b.b_quarantined + 1;
-            settle b i { outcome = Timed_out; attempts = attempt; quarantined = true }
-          end
-          else begin
-            let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
-            b.status.(i) <- Pending { not_before = now + bo; attempt = attempt + 1 };
-            b.n_pending <- b.n_pending + 1;
-            b.b_retries <- b.b_retries + 1
-          end;
-          Condition.broadcast b.changed
-      | _ -> ())
-    b.status
-
-let monitor b ~jobs =
-  Mutex.lock b.m;
-  for _ = 1 to jobs do
-    ignore (spawn_worker b)
-  done;
-  let len = Array.length b.arr in
-  let rec watch () =
-    if b.settled < len then begin
-      match b.pol.deadline_ns with
-      | None ->
-          (* nothing to poll for: wake on settles only *)
-          Condition.wait b.changed b.m;
-          watch ()
-      | Some d ->
-          scan_deadlines b d (Clock.now_ns ());
-          (* limp-home mode: no more replacements, so the monitor itself
-             chews through the remaining work, single-file (deadlines
-             cannot be enforced on our own attempt — progress over
-             preemption) *)
-          if b.b_degraded then begin
-            match find_ready b (Clock.now_ns ()) with
-            | Some (i, attempt) ->
-                let c = claim b i attempt ~worker:(-1) (Clock.now_ns ()) in
-                Mutex.unlock b.m;
-                let act, res, t0, t1 = execute b i attempt in
-                Mutex.lock b.m;
-                dispose b i ~claim:c ~attempt act res t0 t1
-            | None -> ()
-          end;
-          if b.settled < len then begin
-            Mutex.unlock b.m;
-            Unix.sleepf 0.002;
-            Mutex.lock b.m
-          end;
-          watch ()
-    end
-  in
-  watch ();
-  Mutex.unlock b.m;
-  (* free any wedged chaos attempts so abandoned domains can unwind *)
-  Harness_chaos.release b.lat;
-  List.iter
-    (fun w ->
-      if not w.w_abandoned then Option.iter Domain.join w.w_dom
-      else begin
-        (* an abandoned worker is joined only if it already unwound; a
-           genuinely hung one is leaked by design — that is the cost of
-           preemption-free domains *)
-        Mutex.lock b.m;
-        let ex = w.w_exited in
-        Mutex.unlock b.m;
-        if ex then Option.iter Domain.join w.w_dom
-      end)
-    b.workers
-
-(* jobs:1 with no deadline needs no domains at all: retries and chaos
-   run inline in the caller *)
-let run_inline b =
-  let len = Array.length b.arr in
-  for i = 0 to len - 1 do
-    let rec attempt_from attempt =
-      let act, res, t0, t1 = execute b i attempt in
-      if act <> Harness_chaos.Pass then b.b_chaos <- b.b_chaos + 1;
-      match res with
-      | Ok v ->
-          b.reports.(i) <-
-            Some { outcome = Done v; attempts = attempt; quarantined = false }
-      | Error e ->
-          let why = why_of_exn e in
-          if attempt >= b.pol.max_attempts then begin
-            b.b_quarantined <- b.b_quarantined + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = 0;
-              }
-              :: b.retry_log;
-            b.reports.(i) <-
-              Some { outcome = Failed e; attempts = attempt; quarantined = true }
-          end
-          else begin
-            let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
-            b.b_retries <- b.b_retries + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = bo;
-              }
-              :: b.retry_log;
-            if bo > 0 then Unix.sleepf (float_of_int bo /. 1e9);
-            attempt_from (attempt + 1)
-          end
-    in
-    attempt_from 1
-  done;
-  Harness_chaos.release b.lat
-
-let flush_telemetry b =
-  let len = Array.length b.arr in
-  Atomic.fetch_and_add g_supervised len |> ignore;
-  Atomic.fetch_and_add g_retries b.b_retries |> ignore;
-  Atomic.fetch_and_add g_timeouts b.b_timeouts |> ignore;
-  Atomic.fetch_and_add g_quarantined b.b_quarantined |> ignore;
-  Atomic.fetch_and_add g_replaced b.b_replaced |> ignore;
-  if b.b_degraded then Atomic.incr g_degraded;
-  Atomic.fetch_and_add g_chaos b.b_chaos |> ignore;
-  match Sink.ambient () with
-  | None -> ()
-  | Some s ->
-      let m = s.Sink.metrics in
-      Metrics.add (Metrics.counter m "pool.supervised") len;
-      let nonzero name v = if v > 0 then Metrics.add (Metrics.counter m name) v in
-      nonzero "pool.retry" b.b_retries;
-      nonzero "pool.timeout" b.b_timeouts;
-      nonzero "pool.quarantine" b.b_quarantined;
-      nonzero "pool.worker.replaced" b.b_replaced;
-      nonzero "pool.degraded" (if b.b_degraded then 1 else 0);
-      nonzero "pool.chaos.injected" b.b_chaos;
-      List.iter
-        (fun ev ->
-          let root =
-            {
-              Span.name = "pool.retry";
-              start_ns = ev.r_start;
-              dur_ns = ev.r_dur;
-              attrs =
-                [
-                  ("task", J.Int ev.r_task);
-                  ("attempt", J.Int ev.r_attempt);
-                  ("why", J.String ev.r_why);
-                  ("backoff_ns", J.Int ev.r_backoff);
-                ];
-              children = [];
-            }
-          in
-          Span.add_root s.Sink.spans root;
-          Sink.emit s (Export.Span_tree root))
-        (List.rev b.retry_log)
-
-let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
+let map ?(policy = policy ()) ?chaos ?(jobs = 1) ?weight ~f arr =
   let len = Array.length arr in
   if len = 0 then [||]
   else begin
@@ -487,34 +153,73 @@ let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
       | Some c when Harness_chaos.enabled c -> Some c
       | _ -> None
     in
-    let b =
-      {
-        m = Mutex.create ();
-        changed = Condition.create ();
-        arr;
-        f;
-        pol = policy;
-        chaos;
-        lat = Harness_chaos.latch ();
-        status = Array.init len (fun _ -> Pending { not_before = 0; attempt = 1 });
-        reports = Array.make len None;
-        settled = 0;
-        n_pending = len;
-        claim_ctr = 0;
-        worker_ctr = 0;
-        workers = [];
-        b_retries = 0;
-        b_timeouts = 0;
-        b_quarantined = 0;
-        b_replaced = 0;
-        b_degraded = false;
-        b_chaos = 0;
-        retry_log = [];
-      }
+    let wedge_cap_ns =
+      match chaos with Some c -> c.Harness_chaos.wedge_cap_ns | None -> 0
     in
-    let jobs = max 1 (min jobs 64) in
-    if jobs = 1 && policy.deadline_ns = None then run_inline b
-    else monitor b ~jobs:(min jobs len);
-    flush_telemetry b;
-    Array.map Option.get b.reports
+    let lat = Harness_chaos.latch () in
+    let injected = Atomic.make 0 in
+    let logs = Array.make len [] in
+    (* the attempt each task has in flight, for the deadline monitor *)
+    let current = Array.make len 1 in
+    (* the one attempt loop: chaos decision, the attempt (a claim on a
+       watched batch), then settle, or back off and go again *)
+    let rec run i attempt =
+      current.(i) <- attempt;
+      let act =
+        match chaos with
+        | None -> Harness_chaos.Pass
+        | Some c -> Harness_chaos.decide c ~task:i ~attempt
+      in
+      if act <> Harness_chaos.Pass then Atomic.incr injected;
+      let t0 = Clock.now_ns () in
+      let res =
+        Pool.attempt (fun () ->
+            try
+              Harness_chaos.run_action lat act ~task:i ~attempt ~wedge_cap_ns;
+              Ok (f i arr.(i))
+            with e -> Error e)
+      in
+      match res with
+      | Ok v -> { outcome = Done v; attempts = attempt; quarantined = false }
+      | Error e ->
+          fail i attempt (why_of_exn e) (Failed e) ~t0 ~t1:(Clock.now_ns ()) ()
+    (* log the failed attempt; the continuation settles the task, or
+       backs off and runs its next attempt *)
+    and fail i attempt why outcome ~t0 ~t1 =
+      let last = attempt >= policy.max_attempts in
+      let bo =
+        if last then 0 else backoff_ns policy ~task:i ~attempt:(attempt + 1)
+      in
+      let attrs =
+        [ ("task", J.Int i); ("attempt", J.Int attempt); ("why", J.String why);
+          ("backoff_ns", J.Int bo) ]
+      in
+      logs.(i) <-
+        { Span.name = "pool.retry"; start_ns = t0; dur_ns = t1 - t0; attrs;
+          children = [] }
+        :: logs.(i);
+      if last then fun () -> { outcome; attempts = attempt; quarantined = true }
+      else fun () ->
+        if bo > 0 then Unix.sleepf (float_of_int bo /. 1e9);
+        run i (attempt + 1)
+    in
+    let f i _ = run i 1 in
+    let timeouts = ref 0 in
+    let reports, replaced, degraded =
+      match policy.deadline_ns with
+      | None -> (Pool.run ~jobs ?weight ~f arr, 0, false)
+      | Some deadline_ns ->
+          (* the monitor calls [on_overrun] on the caller's domain *)
+          Pool.watched ~jobs ?weight ~deadline_ns
+            ~max_replacements:policy.max_replacements
+            ~on_overrun:(fun i ~started ~now ->
+              incr timeouts;
+              fail i current.(i) "timeout" Timed_out ~t0:started ~t1:now)
+            ~f arr
+    in
+    (* free any wedged chaos attempts so abandoned domains can unwind *)
+    Harness_chaos.release lat;
+    flush_telemetry ~injected:(Atomic.get injected) ~timeouts:!timeouts
+      ~replaced ~degraded reports logs;
+    reports
   end

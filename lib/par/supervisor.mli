@@ -11,19 +11,22 @@
     wall-clock deadline is timed out, its worker domain written off as
     wedged and replaced.
 
-    {b Execution model.} [jobs] worker domains claim ready tasks in
-    index order off a shared, mutex-protected table; the caller's domain
-    is the {e monitor}: it watches running attempts against the
-    deadline, schedules retries, replaces wedged workers and collects
-    the batch. (Without a deadline and without harness chaos the monitor
-    never polls — it sleeps on a condition variable until the last task
-    settles.) OCaml domains cannot be killed, so "replacing" a wedged
-    worker means abandoning it — the supervisor stops waiting for it,
-    spawns a fresh worker, and the wedged domain is left to finish or
-    rot (its late result is discarded by attempt claim tokens). After
-    [max_replacements] replacements the supervisor stops spawning and
-    {e degrades}: the monitor runs the remaining tasks inline,
-    single-file — the [-j 1] limp-home mode.
+    {b Execution model.} Supervision is a per-task wrapper, not a
+    scheduler: each task runs inside one attempt loop — a
+    {!Harness_chaos} decision, the attempt, and on failure a sleep for
+    the pure {!backoff_ns} schedule, then a retry or quarantine — and
+    the wrapped batch runs on {!Pool}, so supervised tasks are claimed
+    in LPT order with work stealing like any other batch. At [jobs:1]
+    with no deadline the loop runs inline in the caller. With a
+    deadline the batch runs on {!Pool.watched}: the caller becomes the
+    monitor, an overrun attempt is timed out (its late result is
+    discarded via per-attempt claim tokens), and its participant domain
+    is written off as wedged and replaced by a fresh one that picks up
+    the task's next attempt. OCaml domains cannot be killed, so
+    "replacing" means abandoning — the wedged domain is left to finish
+    or rot. After [max_replacements] replacements the supervisor
+    {e degrades}: the caller runs the remaining tasks inline — the
+    [-j 1] limp-home mode.
 
     {b Determinism.} Settled values are index-addressed, [f] sees only
     [(index, item)], and the backoff schedule (which attempt waits how
@@ -37,9 +40,9 @@
     [pool.chaos.*] counters to the ambient {!Qe_obs.Sink} and to the
     process-wide {!totals}; each retried or timed-out attempt also
     leaves a [pool.retry] span (attrs: [task], [attempt], [backoff_ns],
-    [why]) so traces show the supervision tree. All recording happens on
-    the monitor after the batch — nothing is added to a healthy task's
-    path beyond two clock reads. *)
+    [why]), emitted in task order, so traces show the supervision tree.
+    All recording happens on the caller after the batch — nothing is
+    added to a healthy task's path beyond two clock reads. *)
 
 type 'a outcome =
   | Done of 'a
@@ -95,16 +98,16 @@ val map :
   ?policy:policy ->
   ?chaos:Harness_chaos.t ->
   ?jobs:int ->
+  ?weight:(int -> 'a -> int) ->
   f:(int -> 'a -> 'b) ->
   'a array ->
   'b report array
 (** Run [f i arr.(i)] for every [i] under supervision; slot [i] of the
     result is task [i]'s report, whatever domain ran it and however
-    many attempts it took. [jobs] (default 1) is the number of worker
-    domains; unlike {!Pool.map} the caller is the monitor, not a
-    worker, except at [jobs:1] with no deadline and no chaos, where
-    everything runs inline in the caller. A batch never raises on task
-    failure — failures are data here. *)
+    many attempts it took. [jobs] (default 1) and [weight] are as in
+    {!Pool.run}; with a deadline the [jobs] participants are all
+    domains and the caller is the monitor ({!Pool.watched}). A batch
+    never raises on task failure — failures are data here. *)
 
 (** {1 Process-wide supervision totals} *)
 

@@ -34,11 +34,15 @@
     equal exactly when their {!exact_key} certificates are: same n, same
     node colors, same arc multiset ({e numbering-sensitive} on purpose).
     {!exact_key} and {!graph_key} remain as the slow reference.
-    Agent maps are drawn deterministically per (instance, home), so
-    numbering-sensitive keys already
-    capture all cross-seed / cross-strategy redundancy, while keeping
-    every numbering-dependent byproduct ([canon.*] / [refine.*]
-    counters, class node ids) bit-identical to the uncached computation.
+    Numbering-sensitive keys keep every numbering-dependent byproduct
+    ([canon.*] / [refine.*] counters, class node ids) bit-identical to
+    the uncached computation. They do {e not} capture all cross-seed
+    redundancy: the engine seeds each agent's port presentation order
+    from the run seed ([Engine.presentation_order]), so artifacts keyed
+    by what an agent sees (the [elect.plan] table) miss once per new
+    seed and stay resident until {!clear} — a [-j 1] sweep of the zoo
+    takes about 55 more [elect.plan] misses per extra seed, while
+    re-running a seed adds none.
     The {e canonical} fingerprint ({!fingerprint}: [Canon] certificate
     plus black-node orbit signature, equal across isomorphic instances)
     is itself one of the memoized artifacts. A key keeps its instance

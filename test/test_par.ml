@@ -358,6 +358,50 @@ let test_chaos_livelock_watchdog_jobs_invariant () =
             (Engine.outcome_to_string o))
     r4.Campaign.c_records
 
+(* The chaos trace has one shape at every [-j]: task lines in canonical
+   order, then a single merged snapshot. Written through a streaming
+   sink and read back with [Export], the -j 1 and -j 4 traces must carry
+   the same metric totals (modulo wall-clock [*_latency]) and the sweeps
+   the same records. *)
+let test_chaos_trace_shape_jobs_invariant () =
+  let traced jobs =
+    let path = Filename.temp_file "qelect_trace" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let report =
+          Out_channel.with_open_text path (fun oc ->
+              let obs =
+                Qe_obs.Sink.create ~on_line:(Qe_obs.Export.write oc) ()
+              in
+              Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies ~obs
+                ~jobs ~expected:Campaign.elect_expected elect (small_zoo ()))
+        in
+        let lines =
+          match Qe_obs.Export.read_file path with
+          | Ok ls -> ls
+          | Error e -> Alcotest.failf "trace at -j %d does not read: %s" jobs e
+        in
+        let snaps =
+          List.filter_map
+            (function Qe_obs.Export.Metric_snapshot s -> Some s | _ -> None)
+            lines
+        in
+        let strip =
+          List.filter (fun (name, _) -> not (Qe_obs.Metrics.is_latency name))
+        in
+        (report, List.map strip snaps))
+  in
+  let r1, snaps1 = traced 1 in
+  let r4, snaps4 = traced 4 in
+  Alcotest.(check int) "one merged snapshot at -j 1" 1 (List.length snaps1);
+  Alcotest.(check int) "one merged snapshot at -j 4" 1 (List.length snaps4);
+  Alcotest.(check bool) "same replayed metric totals" true (snaps1 = snaps4);
+  Alcotest.(check bool) "totals non-trivial" true (snaps1 <> [ [] ]);
+  Alcotest.(check bool) "same records" true
+    (List.map cnorm r1.Campaign.c_records
+    = List.map cnorm r4.Campaign.c_records)
+
 (* ---------- campaign CSV + conformance rate (golden) ---------- *)
 
 let csv_golden_header =
@@ -756,6 +800,52 @@ let test_supervisor_harness_chaos () =
           (Supervisor.value rep))
     reports
 
+(* Supervised batches run on the pool: LPT queues from the weights,
+   stealing, per-domain lanes. A skewed batch (one task dealt a queue of
+   its own by its weight, one light-weighted task that actually sleeps,
+   stalling the tasks queued behind it) under harness-chaos kills must
+   report exactly what the sequential run reports, and its ambient sink
+   must show the pool's lanes and at least one steal. *)
+let test_supervisor_on_pool () =
+  let plan = HChaos.make ~kill_rate:0.3 ~seed:3 () in
+  let weight i _ = if i = 0 then 1_000 else 1 in
+  let run jobs =
+    Supervisor.map
+      ~policy:(fast_policy ~max_attempts:12 ())
+      ~chaos:plan ~jobs ~weight
+      ~f:(fun i x ->
+        if i = 1 then Unix.sleepf 0.05;
+        i * x)
+      (Array.init 24 (fun i -> i + 1))
+  in
+  let view (r : _ Supervisor.report) =
+    (Supervisor.value r, r.Supervisor.attempts, r.Supervisor.quarantined)
+  in
+  let r1 = run 1 in
+  let sink = Qe_obs.Sink.create () in
+  let r4 = Qe_obs.Sink.with_ambient sink (fun () -> run 4) in
+  Alcotest.(check bool) "-j 4 reports = -j 1 reports" true
+    (Array.map view r1 = Array.map view r4);
+  Alcotest.(check bool) "the plan killed some attempts" true
+    (Array.exists
+       (fun (r : _ Supervisor.report) -> r.Supervisor.attempts > 1)
+       r1);
+  let lanes =
+    List.filter
+      (fun c -> c.Qe_obs.Span.name = "pool.batch")
+      (Qe_obs.Span.roots sink.Qe_obs.Sink.spans)
+  in
+  Alcotest.(check int) "one pool.batch lane per participant" 4
+    (List.length lanes);
+  match
+    Qe_obs.Metrics.find
+      (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics)
+      "pool.steal"
+  with
+  | Some (Qe_obs.Metrics.Counter n) ->
+      Alcotest.(check bool) "pool.steal > 0" true (n > 0)
+  | _ -> Alcotest.fail "pool.steal missing from the ambient sink"
+
 let test_supervisor_deadline_and_replacement () =
   Supervisor.reset_totals ();
   (* task 0's first attempt sleeps far past the deadline: the monitor
@@ -784,7 +874,35 @@ let test_supervisor_deadline_and_replacement () =
   let t = Supervisor.totals () in
   Alcotest.(check int) "one timeout" 1 t.Supervisor.timeouts;
   Alcotest.(check int) "one worker replaced" 1 t.Supervisor.replaced;
-  Alcotest.(check int) "no quarantine" 0 t.Supervisor.quarantined
+  Alcotest.(check int) "no quarantine" 0 t.Supervisor.quarantined;
+  (* the wedged participant's queue still holds tasks when the deadline
+     fires (the round-robin deal gives it the even indices, and the
+     other participant is still busy on its own twenty-millisecond
+     tasks): the replacement takes the queue over and every task
+     settles, with one timeout and one replacement as before *)
+  Supervisor.reset_totals ();
+  let tries = Atomic.make 0 in
+  let reports =
+    Supervisor.map
+      ~policy:(fast_policy ~deadline_ns:80_000_000 ())
+      ~jobs:2
+      ~f:(fun i x ->
+        if i = 0 && 1 + Atomic.fetch_and_add tries 1 = 1 then Unix.sleepf 0.5
+        else Unix.sleepf 0.02;
+        x + 1)
+      (Array.init 12 Fun.id)
+  in
+  Array.iteri
+    (fun i rep ->
+      Alcotest.(check (option int)) "queued behind the wedge: settled"
+        (Some (i + 1)) (Supervisor.value rep))
+    reports;
+  Alcotest.(check int) "wedged task retried once (queued case)" 2
+    reports.(0).Supervisor.attempts;
+  let t = Supervisor.totals () in
+  Alcotest.(check int) "one timeout (queued case)" 1 t.Supervisor.timeouts;
+  Alcotest.(check int) "one worker replaced (queued case)" 1
+    t.Supervisor.replaced
 
 let test_supervisor_timeout_quarantine () =
   Supervisor.reset_totals ();
@@ -1015,6 +1133,8 @@ let () =
             test_chaos_sweep_jobs_invariant;
           Alcotest.test_case "chaos_sweep (livelock watchdog)" `Quick
             test_chaos_livelock_watchdog_jobs_invariant;
+          Alcotest.test_case "chaos trace shape j1 = j4" `Quick
+            test_chaos_trace_shape_jobs_invariant;
         ] );
       ( "supervisor",
         [
@@ -1027,6 +1147,8 @@ let () =
             test_harness_chaos_decide;
           Alcotest.test_case "survives harness chaos" `Quick
             test_supervisor_harness_chaos;
+          Alcotest.test_case "runs on the pool (LPT, stealing)" `Quick
+            test_supervisor_on_pool;
           Alcotest.test_case "deadline + worker replacement" `Quick
             test_supervisor_deadline_and_replacement;
           Alcotest.test_case "timeout quarantine" `Quick
