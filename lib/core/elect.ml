@@ -36,18 +36,13 @@ let plan_of_classes t ~n =
     node_class = Array.init n (Classes.class_of_node t);
   }
 
-module Cache = Qe_symmetry.Artifact_cache
-
-let plan_tbl : plan Cache.table = Cache.create_table ~kind:"elect.plan" ()
-
+(* Read off the map's cached classes: one cache lookup per agent run. *)
 let make_plan b =
-  Cache.memo_instance plan_tbl b (fun () ->
-      plan_of_classes (Cache.classes b)
-        ~n:(Qe_graph.Graph.n (Qe_graph.Bicolored.graph b)))
+  plan_of_classes
+    (Qe_symmetry.Artifact_cache.classes b)
+    ~n:(Qe_graph.Graph.n (Qe_graph.Bicolored.graph b))
 
 let generic_plan map = make_plan (Mapping.bicolored map)
-
-let predicted_gcd b = Classes.gcd_sizes (Classes.compute b)
 
 (* ---- the protocol body ---- *)
 

@@ -22,11 +22,6 @@
 val protocol : Qe_runtime.Protocol.t
 (** The qualitative-world ELECT. *)
 
-val predicted_gcd : Qe_graph.Bicolored.t -> int
-(** What Theorem 3.1 predicts for an instance:
-    [gcd(|C_1|, ..., |C_k|)]; ELECT elects iff this is 1. Pure
-    (oracle-side) computation. *)
-
 (** {1 Pieces exposed for the Cayley variant and for tests} *)
 
 type plan = {
@@ -42,9 +37,10 @@ val plan_of_classes : Qe_symmetry.Classes.t -> n:int -> plan
     [node_class]. *)
 
 val make_plan : Qe_graph.Bicolored.t -> plan
-(** COMPUTE & ORDER for a bicolored map, memoized in
-    {!Qe_symmetry.Artifact_cache} (kind ["elect.plan"], exact-key): all
-    agents of all runs on the same drawn map share one computation. *)
+(** COMPUTE & ORDER for a bicolored map: {!plan_of_classes} of the
+    map's classes from {!Qe_symmetry.Artifact_cache.classes}, so all
+    agents of all runs on the same drawn map share one class
+    computation. *)
 
 val generic_plan : Mapping.t -> plan
 (** {!make_plan} on the map's bicolored graph — the Definition 2.1

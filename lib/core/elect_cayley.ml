@@ -2,26 +2,22 @@ module Protocol = Qe_runtime.Protocol
 module Cayley_detect = Qe_symmetry.Cayley_detect
 module Cache = Qe_symmetry.Artifact_cache
 
-(* Both per-run map analyses are pure functions of the drawn map, and
-   the map numbering is deterministic per (instance, home) — so they are
-   memoized like the oracle predicates. Recognition dominates the cost
-   of an elect-cayley run; translation testing shares Oracle's table. *)
-let recognize_tbl : Cayley_detect.outcome Cache.table =
-  Cache.create_table ~kind:"cayley.recognize" ()
-
-let recognize g =
-  Cache.memo_graph recognize_tbl g (fun () ->
-      Cayley_detect.recognize g)
-
-let locally_impossible g ~black =
-  Oracle.translation_impossible (Qe_graph.Bicolored.make g ~black)
+(* Both per-run map analyses are pure functions of the drawn map, so
+   both are slots of the map instance's cache entry: recognition
+   (which dominates the cost of an elect-cayley run) here, the
+   translation verdict through {!Oracle.translation_impossible}. *)
+let recognize_slot : Cayley_detect.outcome Cache.slot =
+  Cache.slot ~kind:"cayley.recognize"
 
 let main (ctx : Protocol.ctx) =
   let map = Mapping.explore ctx in
-  let g = Mapping.graph map in
-  match recognize g with
+  let b = Mapping.bicolored map in
+  match
+    Cache.get recognize_slot b (fun () ->
+        Cayley_detect.recognize (Qe_graph.Bicolored.graph b))
+  with
   | Cayley_detect.Cayley _ ->
-      if locally_impossible g ~black:(Mapping.home_bases map) then
+      if Oracle.translation_impossible b then
         (* Theorem 4.1: a placement-preserving translation exists, so an
            adversarial labeling with non-trivial label-equivalence classes
            exists, and election is impossible. Every agent reaches this

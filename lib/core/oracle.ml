@@ -8,26 +8,17 @@ module Engine = Qe_runtime.Engine
 
 type prediction = Solvable | Unsolvable | Frontier
 
-(* Every oracle predicate is a pure function of the bicolored instance,
-   so each routes through an {!Qe_symmetry.Artifact_cache} table keyed
-   by the instance itself (digest once per value, exact check per hit).
-   The [gcd]/[predict] computations share one [Classes.compute] through
-   the nested [Cache.classes] entry — the historical double computation
-   inside [predict] collapses to a single cached one. *)
-let gcd_tbl : int Cache.table = Cache.create_table ~kind:"oracle.gcd" ()
+(* The verdicts are pure functions of the bicolored instance, so the
+   translation verdict and the prediction are slots of its
+   {!Qe_symmetry.Artifact_cache} entry; the gcd is read off the entry's
+   classes. [predict] is a slot of its own although it is derived: a
+   warm prediction is then one lookup, not two. *)
+let predict_slot : prediction Cache.slot = Cache.slot ~kind:"oracle.predict"
 
-let predict_tbl : prediction Cache.table =
-  Cache.create_table ~kind:"oracle.predict" ()
+let translation_slot : bool Cache.slot =
+  Cache.slot ~kind:"oracle.translation"
 
-let translation_tbl : bool Cache.table =
-  Cache.create_table ~kind:"oracle.translation" ()
-
-let symlab_tbl : bool Cache.table =
-  Cache.create_table ~kind:"oracle.symlab" ()
-
-let gcd_classes b =
-  Cache.memo_instance gcd_tbl b (fun () ->
-      Classes.gcd_sizes (Cache.classes b))
+let gcd_classes b = Classes.gcd_sizes (Cache.classes b)
 
 let elect_prediction b =
   if gcd_classes b = 1 then `Elects else `Reports_failure
@@ -52,7 +43,7 @@ let translation_impossible_fast b =
     | None -> None
 
 let translation_impossible b =
-  Cache.memo_instance translation_tbl b (fun () ->
+  Cache.get translation_slot b (fun () ->
       match translation_impossible_fast b with
       | Some verdict -> verdict
       | None ->
@@ -60,7 +51,6 @@ let translation_impossible b =
             ~black:(Bicolored.blacks b))
 
 let symmetric_labeling_exists b =
-  Cache.memo_instance symlab_tbl b @@ fun () ->
   let g = Bicolored.graph b in
   let subgroups = Cayley_detect.all_regular_subgroups g in
   List.exists
@@ -81,7 +71,7 @@ let symmetric_labeling_exists b =
     subgroups
 
 let predict b =
-  Cache.memo_instance predict_tbl b (fun () ->
+  Cache.get predict_slot b (fun () ->
       if translation_impossible b then Unsolvable
       else if gcd_classes b = 1 then Solvable
       else Frontier)

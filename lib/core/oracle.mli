@@ -1,14 +1,15 @@
 (** Ground truth for the experiments: what the theorems predict for an
     instance, computed outside the agents.
 
-    Every predicate here is a pure function of the bicolored instance
-    and is memoized in {!Qe_symmetry.Artifact_cache} (keyed by the
-    instance itself, compared exactly on every hit), so sweeps that
-    interrogate the oracle once per (strategy, seed) pay the symmetry
-    stack once per instance. The memoization is metric-transparent:
-    cached and uncached calls record identical kernel counters into the
-    ambient sink, modulo the [cache.*] counters themselves.
-    [Artifact_cache.set_enabled false] restores the direct
+    Every predicate here is a pure function of the bicolored instance.
+    {!predict}, {!translation_impossible} and the classes behind
+    {!gcd_classes} are slots of the instance's
+    {!Qe_symmetry.Artifact_cache} entry, so sweeps that interrogate the
+    oracle once per (strategy, seed) pay the symmetry stack once per
+    instance, and a warm call is one cache lookup. The caching is
+    metric-transparent: cached and uncached calls record identical
+    kernel counters into the ambient sink, modulo the [cache.*] counters
+    themselves. [Artifact_cache.set_enabled false] restores the direct
     computations. *)
 
 type prediction =
@@ -33,8 +34,8 @@ val symmetric_labeling_exists : Qe_graph.Bicolored.t -> bool
 (** Theorem 2.1 impossibility via the natural Cayley labelings: for each
     regular subgroup, check whether the induced natural labeling has
     label-equivalence classes of size > 1. Equivalent to
-    {!translation_impossible}; computed through the labeling machinery as
-    a cross-check. *)
+    {!translation_impossible}; computed (uncached) through the labeling
+    machinery as a cross-check. *)
 
 val predict : Qe_graph.Bicolored.t -> prediction
 (** Combined prediction: [Unsolvable] if {!translation_impossible};

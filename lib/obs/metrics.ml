@@ -16,6 +16,19 @@ type registry = { tbl : (string, instrument) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 
+let reset r =
+  Hashtbl.iter
+    (fun _ -> function
+      | C c -> c.c <- 0
+      | G g -> g.g <- 0
+      | H h ->
+          Array.fill h.buckets 0 (Array.length h.buckets) 0;
+          h.sum <- 0;
+          h.count <- 0;
+          h.lo <- 0;
+          h.hi <- 0)
+    r.tbl
+
 let default_buckets = Array.init 10 (fun i -> 1 lsl (2 * i))
 (* 1, 4, 16, ..., 4^9 = 262144 *)
 

@@ -16,6 +16,9 @@ type registry
 
 val create : unit -> registry
 
+val reset : registry -> unit
+(** Zero every instrument in place; handles stay valid. *)
+
 (** {1 Instruments} *)
 
 type counter

@@ -13,16 +13,16 @@ let enabled () = Atomic.get enabled_flag
 
 (* ---------- sink plumbing ---------- *)
 
-let bump name =
-  match Sink.ambient () with
+(* Both take the ambient sink, read once per lookup. *)
+let bump sink name =
+  match sink with
   | None -> ()
   | Some s -> Metrics.incr (Metrics.counter s.Sink.metrics name)
 
-let replay delta =
-  if delta <> [] then
-    match Sink.ambient () with
-    | None -> ()
-    | Some s -> Metrics.apply s.Sink.metrics delta
+let replay sink delta =
+  match sink with
+  | Some s when delta <> [] -> Metrics.apply s.Sink.metrics delta
+  | _ -> ()
 
 (* Stored deltas must never carry cache counters: a nested memo records
    its own cache.hit/miss into the outer computation's scratch sink, and
@@ -32,97 +32,20 @@ let strip_cache snap =
     (fun (name, _) -> not (String.starts_with ~prefix:"cache." name))
     snap
 
-(* ---------- domain-private latency tallies ---------- *)
-
-(* Hit latencies are tallied whether or not a sink is installed, so
-   `--stats` and the scrape endpoint can quote quantiles for any run.
-   Like the L1 hit cells, each domain owns a private tally (plain
-   mutable fields, no sharing on the hot path); stats pool them with
-   the same tolerance for racy reads as every other cache counter. *)
-type lhist = {
-  lh_counts : int array;  (* length = |latency_buckets| + 1 *)
-  mutable lh_sum : int;
-  mutable lh_count : int;
-  mutable lh_lo : int;
-  mutable lh_hi : int;
-}
-
-let lhist () =
-  {
-    lh_counts = Array.make (Array.length Metrics.latency_buckets + 1) 0;
-    lh_sum = 0;
-    lh_count = 0;
-    lh_lo = 0;
-    lh_hi = 0;
-  }
-
-let lh_observe lh v =
-  let bounds = Metrics.latency_buckets in
-  let nb = Array.length bounds in
-  let idx =
-    if v > bounds.(nb - 1) then nb
-    else begin
-      let lo = ref 0 and hi = ref (nb - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if bounds.(mid) < v then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    end
-  in
-  lh.lh_counts.(idx) <- lh.lh_counts.(idx) + 1;
-  lh.lh_sum <- lh.lh_sum + v;
-  if lh.lh_count = 0 then begin
-    lh.lh_lo <- v;
-    lh.lh_hi <- v
-  end
-  else begin
-    if v < lh.lh_lo then lh.lh_lo <- v;
-    if v > lh.lh_hi then lh.lh_hi <- v
-  end;
-  lh.lh_count <- lh.lh_count + 1
-
-let lh_reset lh =
-  Array.fill lh.lh_counts 0 (Array.length lh.lh_counts) 0;
-  lh.lh_sum <- 0;
-  lh.lh_count <- 0;
-  lh.lh_lo <- 0;
-  lh.lh_hi <- 0
-
-let lh_sample lh =
-  Metrics.Hist
-    {
-      bounds = Array.copy Metrics.latency_buckets;
-      counts = Array.copy lh.lh_counts;
-      sum = lh.lh_sum;
-      count = lh.lh_count;
-      lo = lh.lh_lo;
-      hi = lh.lh_hi;
-    }
-
-(* pooled read across domains' private tallies *)
-let lh_pool samples =
-  List.fold_left
-    (fun acc lh -> Metrics.merge acc [ ("h", lh_sample lh) ])
-    [ ("h", lh_sample (lhist ())) ]
-    samples
-  |> fun merged ->
-  match merged with [ (_, s) ] -> s | _ -> assert false
-
 (* ---------- instance keys ---------- *)
 
 module Graph = Qe_graph.Graph
 module Bicolored = Qe_graph.Bicolored
 module Csr = Qe_graph.Csr
 
-(* A key names what a table entry is a function of: a string (the
-   generic [memo]), a bicolored instance, or a bare graph. Instances and
-   graphs are held by reference — the entry keeps them alive until
-   [clear] — and compared exactly; the digest only picks the bucket.
-   [scope] is [Canon_backend.tag ()] for canon-derived tables, [""]
-   elsewhere. *)
-type subject = Named of string | Instance of Bicolored.t | Structure of Graph.t
-type key = { digest : int; scope : string; subject : subject }
+(* An entry is a function of the instance and of the canonicalization
+   backend that computes its canon-derived artifacts. The values are
+   supposed to be backend-independent (selftest's whole job is proving
+   that), but the cache must never be the thing hiding a divergence, so
+   every entry is scoped by the backend. The instance is held by
+   reference — the entry keeps it alive until [clear] — and compared
+   exactly; the digest only picks the bucket. *)
+type key = { digest : int; backend : Canon_backend.id; inst : Bicolored.t }
 
 (* 63-bit finalizer (xorshift-multiply, splitmix64 shape). *)
 let mix x =
@@ -144,6 +67,8 @@ let dart_digest (c : Csr.t) =
   done;
   mix !acc
 
+(* The dart part is parked on the graph, so the placements of one graph
+   share it. *)
 let graph_digest g =
   match Graph.key_digest g with
   | Some d -> d
@@ -228,36 +153,81 @@ let same_mask x y =
   done;
   !u >= n
 
-let same_graph x y = x == y || same_darts (Graph.csr x) (Graph.csr y)
-
-let same_subject a b =
-  match (a, b) with
-  | Named x, Named y -> String.equal x y
-  | Instance x, Instance y ->
-      x == y
-      || same_mask x y && same_graph (Bicolored.graph x) (Bicolored.graph y)
-  | Structure x, Structure y -> same_graph x y
-  | _ -> false
+let same_instance x y =
+  x == y
+  || same_mask x y
+     &&
+     let g = Bicolored.graph x and h = Bicolored.graph y in
+     g == h || same_darts (Graph.csr g) (Graph.csr h)
 
 module Keyed = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
-    a.digest = b.digest && String.equal a.scope b.scope
-    && same_subject a.subject b.subject
+    a.digest = b.digest && a.backend = b.backend && same_instance a.inst b.inst
 
   let hash k = k.digest land max_int
 end)
 
-let named s = { digest = Hashtbl.hash s; scope = ""; subject = Named s }
+(* ---------- slots ---------- *)
 
-let instance_key ?(scope = "") b =
-  { digest = instance_digest b; scope; subject = Instance b }
+(* A slot's process-global counters and the names of its counters and
+   histograms, built once here rather than on every lookup. *)
+type counters = {
+  c_kind : string;
+  c_hit : string;
+  c_l1_hit : string;
+  c_miss : string;
+  c_l1_lat : string;
+  c_l2_lat : string;
+  c_misses : int Atomic.t;
+  c_waits : int Atomic.t;
+}
 
-let structure_key g =
-  { digest = graph_digest g; scope = ""; subject = Structure g }
+type 'a slot = {
+  id : 'a Type.Id.t;
+  index : int;  (* the slot's cell in every entry *)
+  c : counters;
+}
 
-(* ---------- sharded single-flight tables ---------- *)
+(* Slots, newest first, and the registries of every domain that ever
+   looked anything up (those of dead domains stay registered — their
+   hits remain part of the process-global story). The first L1 (made by
+   a domain's first [get] or [clear]) freezes the slot list: entries and
+   L1s are sized by it. *)
+let registry : counters list ref = ref []
+let domain_regs : Metrics.registry list ref = ref []
+let frozen = ref false
+let registry_m = Mutex.create ()
+
+let slot ~kind =
+  Mutex.lock registry_m;
+  let problem =
+    if List.exists (fun c -> c.c_kind = kind) !registry then
+      Some "duplicate kind "
+    else if !frozen then Some "registered after the cache was used: "
+    else None
+  in
+  let index = List.length !registry in
+  let c =
+    {
+      c_kind = kind;
+      c_hit = "cache.hit." ^ kind;
+      c_l1_hit = "cache.l1.hit." ^ kind;
+      c_miss = "cache.miss." ^ kind;
+      c_l1_lat = "cache." ^ kind ^ ".l1.hit_latency";
+      c_l2_lat = "cache." ^ kind ^ ".l2.hit_latency";
+      c_misses = Atomic.make 0;
+      c_waits = Atomic.make 0;
+    }
+  in
+  if problem = None then registry := c :: !registry;
+  Mutex.unlock registry_m;
+  match problem with
+  | Some p -> invalid_arg ("Artifact_cache.slot: " ^ p ^ kind)
+  | None -> { id = Type.Id.make (); index; c }
+
+(* ---------- entries, the shared L2 and the per-domain L1 ---------- *)
 
 let num_shards = 32 (* power of two: shard = hash land (num_shards - 1) *)
 
@@ -266,44 +236,69 @@ let num_shards = 32 (* power of two: shard = hash land (num_shards - 1) *)
    local state. *)
 let generation = Atomic.make 0
 
-type 'a entry =
-  | Ready of ('a, exn) result * Metrics.snapshot
-      (** value (or deterministic failure) + the kernel-metric delta its
-          computation recorded, replayed on every lookup *)
-  | In_flight of flight
+(* One lazily filled cell per slot. A settled cell holds the value (or
+   deterministic failure) with the kernel-metric delta its computation
+   recorded, replayed on every read, tagged with its slot's type
+   witness. *)
+type cell =
+  | Empty
+  | Computing of flight
+  | Ready : 'a Type.Id.t * ('a, exn) result * Metrics.snapshot -> cell
 
-and flight = {
-  fl_m : Mutex.t;
-  fl_cv : Condition.t;
-  mutable fl_done : bool;
+and flight = { fl_m : Mutex.t; fl_cv : Condition.t; mutable fl_done : bool }
+
+type entry = cell Atomic.t array
+
+(* Creating an entry costs nothing, so a shard is a plain find-or-add
+   under its lock; single-flight lives in the cells. *)
+type shard = { m : Mutex.t; tbl : entry Keyed.t }
+
+let shards =
+  Array.init num_shards (fun _ ->
+      { m = Mutex.create (); tbl = Keyed.create 16 })
+
+(* Domain-local first level: key -> entry, no mutex anywhere on its path.
+   Populated on the way out of L2. Every hit lands one sample in the
+   per-slot latency histogram of its level, which is therefore also the
+   hit count. The histograms live in a private registry, so the L1 path
+   stays free of shared writes; stats merge the registries with the same
+   tolerance for racy reads as every other cache counter. *)
+type l1 = {
+  mutable gen : int;
+  tbl : entry Keyed.t;
+  l1_lat : Metrics.histogram array;  (* by slot index *)
+  l2_lat : Metrics.histogram array;  (* includes any single-flight wait *)
 }
 
-type 'a shard = { m : Mutex.t; tbl : 'a entry Keyed.t }
+let l1_key : l1 Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      Mutex.lock registry_m;
+      frozen := true;
+      let reg = Metrics.create () in
+      let hists name =
+        Array.of_list
+          (List.rev_map (fun c -> Metrics.latency reg (name c)) !registry)
+      in
+      let l1_lat = hists (fun c -> c.c_l1_lat)
+      and l2_lat = hists (fun c -> c.c_l2_lat) in
+      domain_regs := reg :: !domain_regs;
+      Mutex.unlock registry_m;
+      { gen = -1; tbl = Keyed.create 64; l1_lat; l2_lat })
 
-(* Domain-local first level: a plain hashtable of settled entries, no
-   mutex anywhere on its path. Populated from L2 hits and own computes;
-   never holds an In_flight. [l1_hits] is this domain's private cell,
-   registered in the owning table so stats can pool across domains
-   without putting a shared counter on the hot path. *)
-type 'a l1 = {
-  mutable l1_gen : int;
-  l1_tbl : (('a, exn) result * Metrics.snapshot) Keyed.t;
-  l1_hits : int Atomic.t;
-  l1_lat : lhist;  (* this domain's L1 hit latencies *)
-  l2_lat : lhist;  (* this domain's L2 hit latencies (incl. waits) *)
-}
+let clear () =
+  Array.iter
+    (fun s ->
+      Mutex.lock s.m;
+      Keyed.reset s.tbl;
+      Mutex.unlock s.m)
+    shards;
+  (* the calling domain's L1 is emptied now rather than on its next
+     lookup, so a cleared cache keeps no instance reachable from it;
+     other domains' L1s flush themselves on their next lookup *)
+  Keyed.reset (Domain.DLS.get l1_key).tbl;
+  Atomic.incr generation
 
-type 'a table = {
-  kind : string;
-  shards : 'a shard array;
-  hits : int Atomic.t;  (* L2 hits only; stats add the pooled L1 cells *)
-  misses : int Atomic.t;
-  waits : int Atomic.t;
-  l1_key : 'a l1 Domain.DLS.key;
-  l1_cells : (int Atomic.t * lhist * lhist) list ref;
-      (* one triple (hit cell, L1 tally, L2 tally) per domain *)
-  l1_cells_m : Mutex.t;
-}
+(* ---------- statistics ---------- *)
 
 type stat = {
   kind : string;
@@ -315,122 +310,58 @@ type stat = {
   l2_latency : Metrics.sample;
 }
 
-(* Registry of every table, type-erased to the operations clear/stats/
-   reset need. Guarded by its own mutex: tables are created at
-   module-init time, but [clear]/[stats] may race with domain spawn. *)
-type reg_entry = {
-  r_kind : string;
-  r_clear : unit -> unit;
-  r_stat : unit -> stat;
-  r_reset : unit -> unit;
-}
-
-let registry : reg_entry list ref = ref []
-let registry_m = Mutex.create ()
-
-let create_table ~kind () =
-  let l1_cells = ref [] in
-  let l1_cells_m = Mutex.create () in
-  let l1_key =
-    (* runs on a domain's first lookup in this table: fresh local
-       hashtable, hit cell registered for pooled stats (cells of dead
-       domains stay registered — their hits remain part of the
-       process-global story, like every other cache counter) *)
-    Domain.DLS.new_key (fun () ->
-        let cell = Atomic.make 0 in
-        let l1_lat = lhist () and l2_lat = lhist () in
-        Mutex.lock l1_cells_m;
-        l1_cells := (cell, l1_lat, l2_lat) :: !l1_cells;
-        Mutex.unlock l1_cells_m;
-        { l1_gen = -1; l1_tbl = Keyed.create 64; l1_hits = cell;
-          l1_lat; l2_lat })
-  in
-  let t =
-    {
-      kind;
-      shards =
-        Array.init num_shards (fun _ ->
-            { m = Mutex.create (); tbl = Keyed.create 16 });
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      waits = Atomic.make 0;
-      l1_key;
-      l1_cells;
-      l1_cells_m;
-    }
-  in
-  let clear_t () =
-    Array.iter
-      (fun s ->
-        Mutex.lock s.m;
-        (* drop only settled entries: a racing computer will still
-           publish its Ready over the In_flight it owns *)
-        Keyed.filter_map_inplace
-          (fun _ e -> match e with Ready _ -> None | In_flight _ -> Some e)
-          s.tbl;
-        Mutex.unlock s.m)
-      t.shards;
-    (* the calling domain's L1 is emptied now rather than on its next
-       lookup, so a cleared cache keeps no instance reachable from it *)
-    Keyed.reset (Domain.DLS.get t.l1_key).l1_tbl
-  in
-  let cells () =
-    Mutex.lock t.l1_cells_m;
-    let cs = !(t.l1_cells) in
-    Mutex.unlock t.l1_cells_m;
-    cs
-  in
-  let stat_t () =
-    let cs = cells () in
-    let l1 = List.fold_left (fun acc (c, _, _) -> acc + Atomic.get c) 0 cs in
-    {
-      kind = t.kind;
-      hits = Atomic.get t.hits + l1;
-      l1_hits = l1;
-      misses = Atomic.get t.misses;
-      single_flight_waits = Atomic.get t.waits;
-      l1_latency = lh_pool (List.map (fun (_, a, _) -> a) cs);
-      l2_latency = lh_pool (List.map (fun (_, _, b) -> b) cs);
-    }
-  in
-  let reset_t () =
-    Atomic.set t.hits 0;
-    Atomic.set t.misses 0;
-    Atomic.set t.waits 0;
-    List.iter
-      (fun (c, a, b) ->
-        Atomic.set c 0;
-        lh_reset a;
-        lh_reset b)
-      (cells ())
-  in
-  Mutex.lock registry_m;
-  let dup = List.exists (fun e -> e.r_kind = kind) !registry in
-  if dup then begin
-    Mutex.unlock registry_m;
-    invalid_arg ("Artifact_cache.create_table: duplicate kind " ^ kind)
-  end;
-  registry :=
-    { r_kind = kind; r_clear = clear_t; r_stat = stat_t; r_reset = reset_t }
-    :: !registry;
-  Mutex.unlock registry_m;
-  t
-
 let with_registry f =
   Mutex.lock registry_m;
-  let entries = !registry in
+  let slots = !registry and regs = !domain_regs in
   Mutex.unlock registry_m;
-  f entries
+  f slots regs
 
-let clear () =
-  with_registry (List.iter (fun e -> e.r_clear ()));
-  (* other domains' L1s flush themselves on their next lookup *)
-  Atomic.incr generation
-let reset_stats () = with_registry (List.iter (fun e -> e.r_reset ()))
+let no_latency =
+  Metrics.Hist
+    {
+      bounds = Metrics.latency_buckets;
+      counts = Array.make (Array.length Metrics.latency_buckets + 1) 0;
+      sum = 0;
+      count = 0;
+      lo = 0;
+      hi = 0;
+    }
 
 let stats () =
-  with_registry (List.map (fun e -> e.r_stat ()))
+  with_registry (fun slots regs ->
+      let snap =
+        List.fold_left
+          (fun acc r -> Metrics.merge acc (Metrics.snapshot r))
+          [] regs
+      in
+      let hist name =
+        Option.value (Metrics.find snap name) ~default:no_latency
+      in
+      let count = function Metrics.Hist h -> h.count | _ -> 0 in
+      List.map
+        (fun c ->
+          let l1_latency = hist c.c_l1_lat and l2_latency = hist c.c_l2_lat in
+          let l1_hits = count l1_latency in
+          {
+            kind = c.c_kind;
+            hits = l1_hits + count l2_latency;
+            l1_hits;
+            misses = Atomic.get c.c_misses;
+            single_flight_waits = Atomic.get c.c_waits;
+            l1_latency;
+            l2_latency;
+          })
+        slots)
   |> List.sort (fun a b -> String.compare a.kind b.kind)
+
+let reset_stats () =
+  with_registry (fun slots regs ->
+      List.iter
+        (fun c ->
+          Atomic.set c.c_misses 0;
+          Atomic.set c.c_waits 0)
+        slots;
+      List.iter Metrics.reset regs)
 
 let hit_rate rows =
   let h = List.fold_left (fun a r -> a + r.hits) 0 rows in
@@ -455,153 +386,152 @@ let metrics_snapshot () =
   @ [ ("cache.single_flight_wait", Metrics.Counter waits) ]
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let publish shard key fl res delta =
-  Mutex.lock shard.m;
-  Keyed.replace shard.tbl key (Ready (res, delta));
-  Mutex.unlock shard.m;
-  Mutex.lock fl.fl_m;
-  fl.fl_done <- true;
-  Condition.broadcast fl.fl_cv;
-  Mutex.unlock fl.fl_m
+(* ---------- lookups ---------- *)
 
 (* L1/L2 hits become timestamped trace events only when the sink opted
    in (run --trace-out): they carry wall-clock attrs and no sequence
    number, so determinism-checked streams must not see them. *)
-let hit_event kind level t_ns =
-  match Sink.ambient () with
+let hit_event sink c ~from_l1 t_ns =
+  match sink with
   | Some s when s.Sink.cache_events && s.Sink.on_line <> None ->
       Sink.emit s
         (Export.Event
            {
              seq = 0;
-             name = "cache." ^ level ^ ".hit";
-             attrs = [ ("kind", J.String kind); ("t_ns", J.Int t_ns) ];
+             name = (if from_l1 then "cache.l1.hit" else "cache.l2.hit");
+             attrs = [ ("kind", J.String c.c_kind); ("t_ns", J.Int t_ns) ];
            })
   | _ -> ()
 
-(* [derive] builds the key inside the timed region, so hit latencies
-   include the key's cost. *)
-let memo_by t derive compute =
+let wait_for sink kind fl =
+  let wait () =
+    Mutex.lock fl.fl_m;
+    while not fl.fl_done do
+      Condition.wait fl.fl_cv fl.fl_m
+    done;
+    Mutex.unlock fl.fl_m
+  in
+  match sink with
+  | None -> wait ()
+  | Some s ->
+      let w0 = Clock.now_ns () in
+      Span.with_span ~attrs:[ ("kind", J.String kind) ] s.Sink.spans
+        "cache.wait" wait;
+      Metrics.observe
+        (Metrics.latency s.Sink.metrics "cache.wait_latency")
+        (Clock.now_ns () - w0)
+
+let unwrap = function Ok v -> v | Error e -> raise e
+
+(* Read [s]'s cell of entry [e]. [from_l1] says the entry came from this
+   domain's L1, which makes a settled cell an L1 hit; a cell settled by a
+   flight this lookup waited on is an L2 hit whose latency includes the
+   wait. An empty cell is claimed by compare-and-set: the winner computes
+   under a scratch sink so the kernel delta can be stored and replayed on
+   every future read — metric placement is then identical to the
+   uncached computation. A [clear] that races the computation drops the
+   entry, so its value only reaches the readers already holding it. *)
+let rec read : type a.
+    a slot -> l1 -> int -> from_l1:bool -> entry -> (unit -> a) -> a =
+ fun s l1 t0 ~from_l1 e compute ->
+  let cell = e.(s.index) in
+  match Atomic.get cell with
+  | Ready (id, res, delta) -> (
+      match Type.Id.provably_equal s.id id with
+      | None -> invalid_arg "Artifact_cache: cell of another slot"
+      | Some Type.Equal ->
+          let sink = Sink.ambient () in
+          if Option.is_some sink then begin
+            bump sink s.c.c_hit;
+            if from_l1 then bump sink s.c.c_l1_hit;
+            replay sink delta
+          end;
+          Metrics.observe
+            (if from_l1 then l1.l1_lat else l1.l2_lat).(s.index)
+            (Clock.now_ns () - t0);
+          hit_event sink s.c ~from_l1 t0;
+          unwrap (res : (a, exn) result))
+  | Computing fl ->
+      let sink = Sink.ambient () in
+      Atomic.incr s.c.c_waits;
+      bump sink "cache.single_flight_wait";
+      wait_for sink s.c.c_kind fl;
+      read s l1 t0 ~from_l1:false e compute
+  | Empty ->
+      let fl =
+        { fl_m = Mutex.create (); fl_cv = Condition.create (); fl_done = false }
+      in
+      if not (Atomic.compare_and_set cell Empty (Computing fl)) then
+        read s l1 t0 ~from_l1 e compute
+      else begin
+        Atomic.incr s.c.c_misses;
+        bump (Sink.ambient ()) s.c.c_miss;
+        let scratch = Sink.create () in
+        let res =
+          match Sink.with_ambient scratch compute with
+          | v -> Ok v
+          | exception e -> Error e
+        in
+        let delta = strip_cache (Metrics.snapshot scratch.Sink.metrics) in
+        Atomic.set cell (Ready (s.id, res, delta));
+        Mutex.lock fl.fl_m;
+        fl.fl_done <- true;
+        Condition.broadcast fl.fl_cv;
+        Mutex.unlock fl.fl_m;
+        replay (Sink.ambient ()) delta;
+        unwrap res
+      end
+
+(* One keyed lookup — this domain's L1, else the shared shard, whose
+   entry is copied into the L1 on the way out — then one cell read. The
+   key is built inside the timed region, so hit latencies include its
+   cost. *)
+let get s b compute =
   if not (enabled ()) then compute ()
   else begin
     let t0 = Clock.now_ns () in
-    let key = derive () in
-    (* L1: this domain's private table — no lock, no shared write on a
-       hit beyond the domain's own stat cell. The warm path of a sweep
-       lives entirely here. *)
-    let l1 = Domain.DLS.get t.l1_key in
+    let key =
+      {
+        digest = instance_digest b;
+        backend = Canon_backend.current ();
+        inst = b;
+      }
+    in
+    let l1 = Domain.DLS.get l1_key in
     let gen = Atomic.get generation in
-    if l1.l1_gen <> gen then begin
-      Keyed.reset l1.l1_tbl;
-      l1.l1_gen <- gen
+    if l1.gen <> gen then begin
+      Keyed.reset l1.tbl;
+      l1.gen <- gen
     end;
-    match Keyed.find_opt l1.l1_tbl key with
-    | Some (res, delta) ->
-        Atomic.incr l1.l1_hits;
-        bump ("cache.hit." ^ t.kind);
-        bump ("cache.l1.hit." ^ t.kind);
-        replay delta;
-        lh_observe l1.l1_lat (Clock.now_ns () - t0);
-        hit_event t.kind "l1" t0;
-        (match res with Ok v -> v | Error e -> raise e)
-    | None ->
-        (* L2: shared shards, single-flight on a genuine cold miss. Any
-           settled entry found here is copied into the L1 so this domain
-           never takes the shard lock for this key again. *)
-        let shard = t.shards.(key.digest land (num_shards - 1)) in
-        let rec lookup () =
-          Mutex.lock shard.m;
-          match Keyed.find_opt shard.tbl key with
-          | Some (Ready (res, delta)) ->
-              Mutex.unlock shard.m;
-              Keyed.replace l1.l1_tbl key (res, delta);
-              Atomic.incr t.hits;
-              bump ("cache.hit." ^ t.kind);
-              replay delta;
-              (* includes any single-flight wait this lookup sat through *)
-              lh_observe l1.l2_lat (Clock.now_ns () - t0);
-              hit_event t.kind "l2" t0;
-              (match res with Ok v -> v | Error e -> raise e)
-          | Some (In_flight fl) ->
-              Mutex.unlock shard.m;
-              Atomic.incr t.waits;
-              bump "cache.single_flight_wait";
-              let wait () =
-                Mutex.lock fl.fl_m;
-                while not fl.fl_done do
-                  Condition.wait fl.fl_cv fl.fl_m
-                done;
-                Mutex.unlock fl.fl_m
+    match Keyed.find l1.tbl key with
+    | e -> read s l1 t0 ~from_l1:true e compute
+    | exception Not_found ->
+        let shard = shards.(key.digest land (num_shards - 1)) in
+        Mutex.lock shard.m;
+        let e =
+          match Keyed.find shard.tbl key with
+          | e -> e
+          | exception Not_found ->
+              let e =
+                Array.init (Array.length l1.l1_lat) (fun _ -> Atomic.make Empty)
               in
-              (match Sink.ambient () with
-              | None -> wait ()
-              | Some s ->
-                  let w0 = Clock.now_ns () in
-                  Span.with_span
-                    ~attrs:[ ("kind", J.String t.kind) ]
-                    s.Sink.spans "cache.wait" wait;
-                  Metrics.observe
-                    (Metrics.latency s.Sink.metrics "cache.wait_latency")
-                    (Clock.now_ns () - w0));
-              lookup ()
-          | None ->
-              let fl =
-                { fl_m = Mutex.create (); fl_cv = Condition.create ();
-                  fl_done = false }
-              in
-              Keyed.replace shard.tbl key (In_flight fl);
-              Mutex.unlock shard.m;
-              Atomic.incr t.misses;
-              bump ("cache.miss." ^ t.kind);
-              (* compute under a scratch sink so the kernel delta can be
-                 stored and replayed on every future hit — metric
-                 placement is then identical to the uncached
-                 computation *)
-              let scratch = Sink.create () in
-              let res =
-                match Sink.with_ambient scratch compute with
-                | v -> Ok v
-                | exception e -> Error e
-              in
-              let delta =
-                strip_cache (Metrics.snapshot scratch.Sink.metrics)
-              in
-              publish shard key fl res delta;
-              Keyed.replace l1.l1_tbl key (res, delta);
-              replay delta;
-              (match res with Ok v -> v | Error e -> raise e)
+              Keyed.add shard.tbl key e;
+              e
         in
-        lookup ()
+        Mutex.unlock shard.m;
+        Keyed.add l1.tbl key e;
+        read s l1 t0 ~from_l1:false e compute
   end
-
-let memo t ~key compute = memo_by t (fun () -> named key) compute
-let memo_instance t b compute = memo_by t (fun () -> instance_key b) compute
-let memo_graph t g compute = memo_by t (fun () -> structure_key g) compute
 
 (* ---------- keys and cached artifacts ---------- *)
 
 (* Slow reference: instance keys are equal exactly when these
    certificate strings are, which the tests check. *)
 let exact_key b = Cdigraph.certificate_of_identity (Cdigraph.of_bicolored b)
-let graph_key g = Cdigraph.certificate_of_identity (Cdigraph.of_graph g)
 
-(* Canon-derived artifacts are additionally scoped by the selected
-   canonicalization backend: the values are supposed to be
-   backend-independent (selftest's whole job is proving that), but the
-   cache must never be the thing hiding a divergence. Belt and braces:
-   scoped keys here, plus a [clear] hook on every backend switch (below)
-   for the downstream tables — oracle verdicts, ELECT plans — keyed on
-   the bare instance. *)
-let memo_scoped t b compute =
-  memo_by t (fun () -> instance_key ~scope:(Canon_backend.tag ()) b) compute
-
-let () = Canon_backend.on_switch clear
-
-let classes_tbl : Classes.t table = create_table ~kind:"classes" ()
-let fingerprint_tbl : string table = create_table ~kind:"certificate" ()
-
-let classes b =
-  memo_scoped classes_tbl b (fun () -> Classes.compute b)
+let classes_slot : Classes.t slot = slot ~kind:"classes"
+let fingerprint_slot : string slot = slot ~kind:"certificate"
+let classes b = get classes_slot b (fun () -> Classes.compute b)
 
 let fingerprint_uncached b =
   let r = Canon.run (Cdigraph.of_bicolored b) in
@@ -623,8 +553,7 @@ let fingerprint_uncached b =
   r.Canon.certificate ^ "#black-orbits:"
   ^ String.concat "," (List.map string_of_int sig_)
 
-let fingerprint b =
-  memo_scoped fingerprint_tbl b (fun () -> fingerprint_uncached b)
+let fingerprint b = get fingerprint_slot b (fun () -> fingerprint_uncached b)
 
 module For_testing = struct
   let with_digest d b =

@@ -1,110 +1,98 @@
-(** Fingerprint-keyed memoization of symmetry artifacts across runs and
-    domains.
+(** One cache entry per instance for the symmetry artifacts.
 
     Every sweep record used to recompute the whole symmetry stack —
-    {!Classes.compute}, the oracle verdicts, the ELECT plan — per
-    (instance, strategy, seed), even though all of them are pure
-    functions of the bicolored instance. This module is a process-wide,
-    domain-safe, {e two-level} cache for those artifacts:
+    {!Classes.compute}, the oracle verdicts — per (instance, strategy,
+    seed), even though all of it is a pure function of the bicolored
+    instance. This module is a process-wide, domain-safe cache mapping
+    (canon backend, instance) to {e one} entry. The entry holds one lazily
+    filled cell per artifact kind, a {!slot}: the equivalence classes
+    ([classes]), the canonical fingerprint ([certificate]), and the
+    slots its clients register at module initialisation
+    ([oracle.predict], [oracle.translation], [cayley.recognize]). Values
+    derived cheaply from a cell (the class gcd, the ELECT plan) are not
+    cached on their own.
 
-    - {b L1} — a per-domain, lock-free hashtable in domain-local
-      storage, consulted first. A warm lookup touches no mutex and no
-      shared cacheline (beyond reading the invalidation generation and
-      bumping the domain's private stat cell). Populated from L2 hits
-      and own computes; invalidated lazily via a global generation
-      bumped by {!clear}.
-    - {b L2} — a fixed array of shards, each a [Mutex]-protected
-      [Hashtbl], with {e single-flight} admission so two domains asking
-      for the same key never duplicate an in-flight computation (the
-      second blocks on a condition variable until the first publishes).
-      Entered only on an L1 miss; any settled entry found is copied
-      into the caller's L1 on the way out.
+    {b Two levels.} The key is looked up first in a per-domain,
+    lock-free hashtable in domain-local storage ({b L1}); on an L1 miss,
+    in one of 32 [Mutex]-protected shards ({b L2}), where a missing entry
+    is simply added, and the entry is copied into the caller's L1 on the
+    way out. Every accessor does exactly one keyed lookup plus one cell
+    read. {e Single-flight} lives in the cell: the first reader of an
+    empty cell computes it, and concurrent readers of that cell block
+    until it is settled.
 
-    {b Keys.} Tables are keyed by the instance itself. An instance key
-    holds the {!Qe_graph.Bicolored.t} (or, for {!memo_graph}, the bare
-    {!Qe_graph.Graph.t}) by reference, plus an order-independent O(n + m)
-    digest of (n, black mask, multiset of darts [u -> dst]) read straight
-    off the CSR arrays — no {!Cdigraph}, no sort, no string. The digest
-    is derived at most once per value and parked on it
+    {b Keys.} An entry is keyed by the selected {!Canon_backend.id}
+    (so nothing computed under one backend is ever served under another)
+    and the instance itself. The key holds the {!Qe_graph.Bicolored.t}
+    by reference plus an order-independent O(n + m) digest of (n, black
+    mask, multiset of darts [u -> dst]) read straight off the CSR arrays.
+    The digest is derived at most once per value and parked on it
     ({!Qe_graph.Bicolored.key_digest}); it only picks the bucket. Every
     L1/L2 hit then runs an exact, allocation-free equality check —
     physical equality, else identical [off]/[dst] slices and black mask,
     else (port orders differ) a per-node multiset comparison — so a
     digest collision can never return a wrong artifact. Two keys are
     equal exactly when their {!exact_key} certificates are: same n, same
-    node colors, same arc multiset ({e numbering-sensitive} on purpose).
-    {!exact_key} and {!graph_key} remain as the slow reference.
-    Numbering-sensitive keys keep every numbering-dependent byproduct
-    ([canon.*] / [refine.*] counters, class node ids) bit-identical to
-    the uncached computation. They do {e not} capture all cross-seed
-    redundancy: the engine seeds each agent's port presentation order
-    from the run seed ([Engine.presentation_order]), so artifacts keyed
-    by what an agent sees (the [elect.plan] table) miss once per new
-    seed and stay resident until {!clear} — a [-j 1] sweep of the zoo
-    takes about 55 more [elect.plan] misses per extra seed, while
-    re-running a seed adds none.
-    The {e canonical} fingerprint ({!fingerprint}: [Canon] certificate
-    plus black-node orbit signature, equal across isomorphic instances)
-    is itself one of the memoized artifacts. A key keeps its instance
-    alive until {!clear}.
+    node colors, same arc multiset ({e numbering-sensitive} on purpose,
+    which keeps every numbering-dependent byproduct — [canon.*] /
+    [refine.*] counters, class node ids — bit-identical to the uncached
+    computation). They do {e not} capture all cross-seed redundancy: the
+    engine seeds each agent's port presentation order from the run seed
+    ([Engine.presentation_order]), so entries keyed by what an agent
+    sees (its drawn map) miss once per new seed and stay resident until
+    {!clear}. A key keeps its instance alive until {!clear}.
 
     {b Metric transparency.} A miss runs the computation under a private
-    scratch sink and stores the resulting kernel-metric delta next to
-    the value; every lookup — hit or miss — replays that delta into the
+    scratch sink and stores the resulting kernel-metric delta in the
+    cell; every read — hit or miss — replays that delta into the
     caller's ambient sink via {!Qe_obs.Metrics.apply}. Cached and
     uncached sweeps therefore produce identical metric snapshots, modulo
-    the cache's own [cache.hit.<kind>] / [cache.miss.<kind>] /
-    [cache.single_flight_wait] counters — L1 hits additionally count
-    under [cache.l1.hit.<kind>] — (stripped from stored deltas so
-    replays never inject stale cache counters). Exceptions
-    (e.g. {!Canon.Budget_exceeded}) are deterministic for a given key,
-    so they are cached and re-raised like values. *)
+    the cache's own [cache.hit.<kind>] / [cache.l1.hit.<kind>] /
+    [cache.miss.<kind>] / [cache.single_flight_wait] counters (stripped
+    from stored deltas so replays never inject stale cache counters).
+    Exceptions (e.g. {!Canon.Budget_exceeded}) are deterministic for a
+    given key, so they are cached and re-raised like values. *)
 
 (** {1 Global switch} *)
 
 val set_enabled : bool -> unit
 (** Disable ([false]) or re-enable the cache process-wide. While
-    disabled, {!memo} calls the computation directly — no scratch sink,
+    disabled, {!get} calls the computation directly — no scratch sink,
     no counters: exactly the pre-cache behavior. Backs
     [qelect sweep|chaos --no-cache]. *)
 
 val enabled : unit -> bool
 
 val clear : unit -> unit
-(** Drop every entry of every table (stats are kept; see
-    {!reset_stats}). The calling domain's L1s are emptied at once, so no
-    instance stays reachable from them; other domains' L1s are
-    invalidated lazily — the global generation is bumped and each flushes
-    its local table on its next lookup. Safe to call concurrently with
-    lookups. *)
+(** Drop every entry (stats are kept; see {!reset_stats}). The calling
+    domain's L1 is emptied at once, so no instance stays reachable from
+    it; other domains' L1s are invalidated lazily — a global generation
+    is bumped and each flushes its table on its next lookup. A
+    computation racing [clear] still returns to the readers that reached
+    its cell before the clear, but its value is never served after it.
+    Safe to call concurrently with lookups. *)
 
-(** {1 Tables} *)
+(** {1 Slots} *)
 
-type 'a table
-(** A named memo table. [kind] tags the telemetry counters
-    ([cache.hit.<kind>], [cache.miss.<kind>]) and the {!stats} row. *)
+type 'a slot
+(** One artifact kind: a typed cell of every entry. [kind] names the
+    telemetry counters ([cache.hit.<kind>], [cache.miss.<kind>]) and the
+    {!stats} row. *)
 
-val create_table : kind:string -> unit -> 'a table
-(** Tables register themselves in a process-wide list so {!clear} and
-    {!stats} can reach them; create them once at module toplevel.
-    @raise Invalid_argument if [kind] is already taken. *)
+val slot : kind:string -> 'a slot
+(** Register a slot; do it once, at module toplevel.
+    @raise Invalid_argument if [kind] is already taken, or once the
+    cache has been used (any {!get} or {!clear}: entries are sized by
+    the slot list). *)
 
-val memo : 'a table -> key:string -> (unit -> 'a) -> 'a
-(** [memo t ~key f] returns the cached value for [key], or runs [f]
-    (single-flight across domains) and caches its result — including a
-    raised exception, which is re-raised on every subsequent hit.
-    Do not call [memo t ~key] recursively from its own [f] (it would
-    deadlock on its own flight); nesting across distinct tables or keys
-    is fine and is how the plan table layers on the classes table. *)
-
-val memo_instance : 'a table -> Qe_graph.Bicolored.t -> (unit -> 'a) -> 'a
-(** [memo_instance t b f] is {!memo} keyed by the instance [b] (see
-    {b Keys} above): a hit returns the entry of an instance with the same
-    {!exact_key}. Hit latencies include deriving the key. *)
-
-val memo_graph : 'a table -> Qe_graph.Graph.t -> (unit -> 'a) -> 'a
-(** The same for a bare graph: entries are shared exactly between
-    graphs with the same {!graph_key}. *)
+val get : 'a slot -> Qe_graph.Bicolored.t -> (unit -> 'a) -> 'a
+(** [get s b f] returns [s]'s cell of the entry for [b] (see {b Keys}),
+    computing it with [f] (single-flight across domains) on first use —
+    including a raised exception, which is re-raised on every later
+    read. Hit latencies include deriving the key. Do not read a cell
+    from its own [f] (it would wait on itself); reading other slots of
+    the same entry is fine and is how [oracle.predict] layers on the
+    others. *)
 
 (** {1 Statistics} *)
 
@@ -114,13 +102,13 @@ type stat = {
       (** total over both levels (includes single-flight waiters);
           [hits - l1_hits] is the shared-shard (L2) hit count *)
   l1_hits : int;
-      (** subset of [hits] served lock-free from a per-domain L1,
-          pooled across every domain that ever touched the table *)
+      (** subset of [hits] whose entry came from a per-domain L1,
+          pooled across every domain that ever looked anything up *)
   misses : int;
   single_flight_waits : int;
   l1_latency : Qe_obs.Metrics.sample;
       (** hit-latency histogram ({!Qe_obs.Metrics.Hist} over
-          {!Qe_obs.Metrics.latency_buckets}) of this table's L1 hits,
+          {!Qe_obs.Metrics.latency_buckets}) of this slot's L1 hits,
           pooled across domains — feed it {!Qe_obs.Metrics.quantile} *)
   l2_latency : Qe_obs.Metrics.sample;
       (** same for L2 hits; a waiter's latency includes its
@@ -128,11 +116,12 @@ type stat = {
 }
 
 val stats : unit -> stat list
-(** One row per table, sorted by [kind]. Process-global counts since the
-    last {!reset_stats} — unlike the [cache.*] sink counters, these are
-    tallied even when no ambient sink is installed (hit latencies are
-    tallied in per-domain cells, so the lock-free L1 path stays free of
-    shared writes). *)
+(** One row per slot, sorted by [kind]; each {!get} counts once on its
+    slot's row. Process-global counts since the last {!reset_stats} —
+    unlike the [cache.*] sink counters, these are tallied even when no
+    ambient sink is installed (a hit is one sample in a per-domain
+    latency histogram, so the lock-free L1 path stays free of shared
+    writes). *)
 
 val reset_stats : unit -> unit
 
@@ -154,9 +143,6 @@ val exact_key : Qe_graph.Bicolored.t -> string
     a {!Cdigraph}, sorts every arc and writes a string several bytes per
     arc — the reference semantics of instance keys, not a key itself. *)
 
-val graph_key : Qe_graph.Graph.t -> string
-(** Same, for a bare (uncolored) graph. *)
-
 val key_derivations : unit -> int
 (** Process-global count of instance digests derived so far (each
     {!Qe_graph.Bicolored.t} value is digested at most once). *)
@@ -165,20 +151,15 @@ val fingerprint : Qe_graph.Bicolored.t -> string
 (** Canonical instance fingerprint: the {!Canon} certificate of the
     bicolored digraph joined with the black-node orbit signature (sorted
     sizes of the orbits containing home-bases). Equal exactly on
-    isomorphic instances. Memoized (kind ["certificate"]) under the
-    instance key scoped by {!Canon_backend.tag}, so entries computed under
-    one backend are never served under another; {!clear} additionally
-    runs on every backend switch (via {!Canon_backend.on_switch}) to
-    cover the downstream tables keyed on bare instance keys. *)
+    isomorphic instances. Cached (slot ["certificate"]). *)
 
 val fingerprint_uncached : Qe_graph.Bicolored.t -> string
-(** The same computation with no memoization at all — the differential
+(** The same computation with no caching at all — the differential
     harness uses it so a cache hit can never mask a backend
     divergence. *)
 
 val classes : Qe_graph.Bicolored.t -> Classes.t
-(** Memoized {!Classes.compute} (kind ["classes"], default leaf
-    budget). *)
+(** Cached {!Classes.compute} (slot ["classes"], default leaf budget). *)
 
 (** {1 Test support} *)
 
@@ -186,6 +167,6 @@ module For_testing : sig
   val with_digest : int -> Qe_graph.Bicolored.t -> Qe_graph.Bicolored.t
   (** [with_digest d b] is a fresh copy of [b] whose key digest is forced
       to [d]. Copies of two different instances then land on the same
-      bucket of every table, which lets a test check that the exact
-      comparison keeps their artifacts apart. *)
+      bucket, which lets a test check that the exact comparison keeps
+      their artifacts apart. *)
 end

@@ -15,17 +15,6 @@ let all = [ Ocaml; C; Both ]
 
 (* ---------- selection ---------- *)
 
-(* Switch hooks run outside any lock of ours, but under [hooks_m] so a
-   hook list read never races a registration. Hooks must be idempotent
-   and domain-safe ([Artifact_cache.clear] is both). *)
-let hooks : (unit -> unit) list ref = ref []
-let hooks_m = Mutex.create ()
-
-let on_switch f =
-  Mutex.lock hooks_m;
-  hooks := f :: !hooks;
-  Mutex.unlock hooks_m
-
 let default_of_env () =
   match Sys.getenv_opt "QELECT_CANON_BACKEND" with
   | None -> Ocaml
@@ -44,14 +33,7 @@ let state = Atomic.make (default_of_env ())
 let current () = Atomic.get state
 let tag () = to_string (current ())
 
-let select id =
-  let prev = Atomic.exchange state id in
-  if prev <> id then begin
-    Mutex.lock hooks_m;
-    let hs = !hooks in
-    Mutex.unlock hooks_m;
-    List.iter (fun f -> f ()) hs
-  end
+let select id = Atomic.set state id
 
 let with_backend id f =
   let prev = current () in

@@ -13,8 +13,9 @@
     selection is a process-wide atomic, defaulted from the
     [QELECT_CANON_BACKEND] environment variable ([ocaml], [c] or
     [both]) and settable from the CLI via [--canon-backend]. Dispatch
-    itself lives in {!Canon.run}; this module stays dependency-free so
-    {!Artifact_cache} can register invalidation hooks without a cycle. *)
+    itself lives in {!Canon.run}. {!Artifact_cache} scopes every entry
+    by {!current}, so no artifact computed under one backend is ever
+    served under another. *)
 
 type id =
   | Ocaml  (** the pure-OCaml kernel — the reference *)
@@ -41,23 +42,15 @@ val current : unit -> id
     (invalid values warn on stderr and fall back to [Ocaml]). *)
 
 val tag : unit -> string
-(** [to_string (current ())] — the cache-key scope of the selection. *)
+(** [to_string (current ())]. *)
 
 val select : id -> unit
-(** Set the process-wide backend. When the value actually changes,
-    every {!on_switch} hook runs (on the calling domain, after the
-    switch is visible). Do not switch while pool domains are mid-sweep:
-    the selection is global, not scoped per task. *)
+(** Set the process-wide backend. Do not switch while pool domains are
+    mid-sweep: the selection is global, not scoped per task. *)
 
 val with_backend : id -> (unit -> 'a) -> 'a
 (** [with_backend id f] runs [f] under [id] and restores the previous
-    selection (running switch hooks both ways if it differs). *)
-
-val on_switch : (unit -> unit) -> unit
-(** Register a hook to run after every effective backend change.
-    {!Artifact_cache} registers its [clear] here so no canon-derived
-    artifact computed under one backend is ever served under another.
-    Hooks must be idempotent and safe to run from any domain. *)
+    selection. *)
 
 val divergence_message : exn -> string option
 (** Render {!Divergence} for user-facing reports; [None] otherwise. *)

@@ -6,13 +6,14 @@
      keys are equal exactly when exact_key strings are, survive forced
      digest collisions, are derived once per value, and are released by
      clear;
-   - memo: one computation per key, exceptions cached and re-raised,
-     per-kind stats;
-   - single-flight: 8 domains racing one cold key produce exactly one
-     miss and one execution of the thunk;
-   - transparency: sweeps with the cache on and off produce the same
-     records, and observed sweeps the same metric snapshots modulo the
-     cache.* counters, at -j 1 and -j 4;
+   - slots: one computation per (slot, instance), exceptions cached and
+     re-raised, per-slot stats, and a warm accessor costs one lookup;
+   - single-flight: 8 domains racing one cold cell produce exactly one
+     miss and one execution of the thunk; a clear racing a computation
+     keeps its value from being served afterwards;
+   - transparency: sweeps (elect and elect-cayley) with the cache on and
+     off produce the same records, and observed sweeps the same metric
+     snapshots modulo the cache.* counters, at -j 1 and -j 4;
    - satellite regressions: Oracle.predict computes the classes exactly
      once (the classes.compute call-count metric), and Elect plans carry
      a node_class index consistent with the class lists. *)
@@ -29,6 +30,19 @@ module Metrics = Qe_obs.Metrics
 module Sink = Qe_obs.Sink
 
 let elect = Qe_elect.Elect.protocol
+
+(* Test slots. Every slot is registered before the cache's first lookup,
+   so they all live at toplevel. *)
+let key_slot : int Cache.slot = Cache.slot ~kind:"test.key"
+let basic_slot : int Cache.slot = Cache.slot ~kind:"test.basic"
+let err_slot : unit Cache.slot = Cache.slot ~kind:"test.error"
+let hammer_slot : int Cache.slot = Cache.slot ~kind:"test.hammer"
+let l1_slot : int Cache.slot = Cache.slot ~kind:"test.l1"
+let race_slot : int Cache.slot = Cache.slot ~kind:"test.race"
+let backend_slot : string Cache.slot = Cache.slot ~kind:"test.backend"
+
+(* small distinct instances to key test slots by: n isolated nodes *)
+let isolated n = Bicolored.make (Graph.of_edges ~n []) ~black:[ 0 ]
 
 (* the whole binary runs with the cache in whatever state earlier tests
    left it; every test that toggles the switch restores it *)
@@ -74,15 +88,10 @@ let test_keys () =
    are. Observed through the real lookup path: after [clear], [x] fills
    a fresh entry and [y] either hits it (keys equal) or computes its
    own. *)
-let key_tbl : int Cache.table = Cache.create_table ~kind:"test.key" ()
-
-let graph_key_tbl : int Cache.table =
-  Cache.create_table ~kind:"test.graph_key" ()
-
-let shares memo tbl x y =
+let shares x y =
   Cache.clear ();
-  ignore (memo tbl x (fun () -> 1) : int);
-  memo tbl y (fun () -> 2) = 1
+  ignore (Cache.get key_slot x (fun () -> 1) : int);
+  Cache.get key_slot y (fun () -> 2) = 1
 
 (* (n, edges, blacks): multigraphs with loops and parallel edges, not
    necessarily connected *)
@@ -154,11 +163,7 @@ let prop_key_equality_is_exact_key_equality =
         else of_spec spec'
       in
       with_cache_enabled true @@ fun () ->
-      let g = Bicolored.graph b and g' = Bicolored.graph b' in
-      shares Cache.memo_instance key_tbl b b'
-      = (Cache.exact_key b = Cache.exact_key b')
-      && shares Cache.memo_graph graph_key_tbl g g'
-         = (Cache.graph_key g = Cache.graph_key g'))
+      shares b b' = (Cache.exact_key b = Cache.exact_key b'))
 
 (* Different instances forced onto one digest must each get their own
    artifact — from this domain's L1 and from the shared L2 alike — while
@@ -193,7 +198,7 @@ let test_digest_collision () =
             (List.rev (List.init 6 (fun i -> ((i + 1) mod 6, i)))))
          ~black:[ 0; 3 ])
   in
-  let get x v = Cache.memo_instance key_tbl x (fun () -> v) in
+  let get x v = Cache.get key_slot x (fun () -> v) in
   let own = List.mapi (fun i _ -> i + 1) distinct in
   Alcotest.(check (list int)) "each instance computes its own artifact" own
     (List.mapi (fun i x -> get x (i + 1)) distinct);
@@ -216,7 +221,7 @@ let test_predict_derives_digest_once () =
   let b = Bicolored.make (Families.petersen ()) ~black:[ 0; 1 ] in
   let before = Cache.key_derivations () in
   ignore (Oracle.predict b : Oracle.prediction);
-  Alcotest.(check int) "cold predict: one digest for every table" 1
+  Alcotest.(check int) "cold predict: one digest for every slot" 1
     (Cache.key_derivations () - before);
   ignore (Oracle.predict b : Oracle.prediction);
   ignore (Elect.make_plan b : Elect.plan);
@@ -243,23 +248,22 @@ let test_clear_releases_instance () =
   Gc.full_major ();
   Alcotest.(check bool) "clear released it" false (Weak.check w 0)
 
-(* ---------- memo basics ---------- *)
+(* ---------- slot basics ---------- *)
 
-let basic_tbl : int Cache.table = Cache.create_table ~kind:"test.basic" ()
-
-let test_memo_basics () =
+let test_slot_basics () =
   with_cache_enabled true @@ fun () ->
   Cache.clear ();
   Cache.reset_stats ();
+  let a = isolated 1 and bb = isolated 2 in
   let computes = ref 0 in
-  let get k =
-    Cache.memo basic_tbl ~key:k (fun () ->
+  let get x =
+    Cache.get basic_slot x (fun () ->
         incr computes;
-        String.length k)
+        Graph.n (Bicolored.graph x))
   in
-  Alcotest.(check int) "first call computes" 1 (get "a");
-  Alcotest.(check int) "second call hits" 1 (get "a");
-  Alcotest.(check int) "distinct key computes" 2 (get "bb");
+  Alcotest.(check int) "first call computes" 1 (get a);
+  Alcotest.(check int) "second call hits" 1 (get a);
+  Alcotest.(check int) "distinct key computes" 2 (get bb);
   Alcotest.(check int) "one compute per key" 2 !computes;
   let s = stat_of "test.basic" in
   Alcotest.(check int) "misses" 2 s.Cache.misses;
@@ -267,11 +271,17 @@ let test_memo_basics () =
   Alcotest.(check int) "the repeat hit came from this domain's L1" 1
     s.Cache.l1_hits;
   Cache.clear ();
-  Alcotest.(check int) "clear drops entries" 1 (get "a");
+  Alcotest.(check int) "clear drops entries" 1 (get a);
   Alcotest.(check int) "recompute after clear" 3 !computes;
   Alcotest.(check bool) "duplicate kind rejected" true
     (try
-       ignore (Cache.create_table ~kind:"test.basic" () : int Cache.table);
+       ignore (Cache.slot ~kind:"test.basic" : int Cache.slot);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "a slot registered after the first lookup: rejected"
+    true
+    (try
+       ignore (Cache.slot ~kind:"test.late" : int Cache.slot);
        false
      with Invalid_argument _ -> true)
 
@@ -280,7 +290,7 @@ let test_disabled_bypasses () =
   Cache.reset_stats ();
   let computes = ref 0 in
   let get () =
-    Cache.memo basic_tbl ~key:"disabled" (fun () ->
+    Cache.get basic_slot (isolated 3) (fun () ->
         incr computes;
         0)
   in
@@ -293,14 +303,13 @@ let test_disabled_bypasses () =
 
 exception Boom
 
-let err_tbl : unit Cache.table = Cache.create_table ~kind:"test.error" ()
-
 let test_exception_caching () =
   with_cache_enabled true @@ fun () ->
   Cache.clear ();
+  let b = isolated 1 in
   let computes = ref 0 in
   let get () =
-    Cache.memo err_tbl ~key:"k" (fun () ->
+    Cache.get err_slot b (fun () ->
         incr computes;
         raise Boom)
   in
@@ -308,24 +317,49 @@ let test_exception_caching () =
   Alcotest.check_raises "hit re-raises the cached exception" Boom get;
   Alcotest.(check int) "the failing thunk ran once" 1 !computes
 
-(* ---------- single-flight across domains ---------- *)
+(* A warm accessor is one keyed lookup plus one cell read: exactly one
+   hit, summed over every slot's row, and no miss. *)
+let test_warm_accessors_one_lookup () =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  let b = Bicolored.make (Families.petersen ()) ~black:[ 0; 1 ] in
+  let totals () =
+    List.fold_left
+      (fun (h, m) (r : Cache.stat) -> (h + r.Cache.hits, m + r.Cache.misses))
+      (0, 0) (Cache.stats ())
+  in
+  List.iter
+    (fun (name, f) ->
+      f () (* cold *);
+      let h0, m0 = totals () in
+      f ();
+      let h1, m1 = totals () in
+      Alcotest.(check int) (name ^ ": one hit") 1 (h1 - h0);
+      Alcotest.(check int) (name ^ ": no miss") 0 (m1 - m0))
+    [
+      ("Oracle.predict",
+       fun () -> ignore (Oracle.predict b : Oracle.prediction));
+      ("Oracle.gcd_classes", fun () -> ignore (Oracle.gcd_classes b : int));
+      ("Elect.make_plan", fun () -> ignore (Elect.make_plan b : Elect.plan));
+    ]
 
-let hammer_tbl : int Cache.table = Cache.create_table ~kind:"test.hammer" ()
+(* ---------- single-flight across domains ---------- *)
 
 let test_single_flight_hammer () =
   with_cache_enabled true @@ fun () ->
   Cache.clear ();
   Cache.reset_stats ();
   let domains = 8 in
+  let shared = isolated 1 in
   let arrivals = Atomic.make 0 in
   let computes = Atomic.make 0 in
   let body () =
-    (* every domain announces itself before calling memo, and the one
-       that wins the flight spins until all have: the other seven are
-       guaranteed to resolve this key while it is in flight or already
-       published — never by computing it themselves *)
+    (* every domain announces itself before its lookup, and the one that
+       wins the cell spins until all have: the other seven are
+       guaranteed to resolve this cell while it is being computed or
+       already settled — never by computing it themselves *)
     Atomic.incr arrivals;
-    Cache.memo hammer_tbl ~key:"shared" (fun () ->
+    Cache.get hammer_slot shared (fun () ->
         Atomic.incr computes;
         while Atomic.get arrivals < domains do
           Domain.cpu_relax ()
@@ -349,9 +383,44 @@ let test_single_flight_hammer () =
     && s.Cache.single_flight_waits <= domains - 1);
   Alcotest.(check int) "first-contact hits are all L2" 0 s.Cache.l1_hits
 
-(* ---------- L1 coherence across domains ---------- *)
+(* A clear while another domain computes a cell drops the entry: the
+   computation still returns to its caller and to the reader already
+   waiting on it, but the next lookup after the clear computes afresh
+   instead of being served the pre-clear value. *)
+let test_clear_during_compute () =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  Cache.reset_stats ();
+  let b = isolated 1 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let latched () =
+    Cache.get race_slot b (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done;
+        1)
+  in
+  let computer = Domain.spawn latched in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let waiter = Domain.spawn latched in
+  while (stat_of "test.race").Cache.single_flight_waits < 1 do
+    Domain.cpu_relax ()
+  done;
+  Cache.clear ();
+  Atomic.set release true;
+  Alcotest.(check int) "the racing computation returns its value" 1
+    (Domain.join computer);
+  Alcotest.(check int) "and wakes its waiter" 1 (Domain.join waiter);
+  Alcotest.(check int) "the next lookup after the clear recomputes" 2
+    (Cache.get race_slot b (fun () -> 2));
+  let s = stat_of "test.race" in
+  Alcotest.(check int) "two misses" 2 s.Cache.misses;
+  Alcotest.(check int) "one hit (the waiter)" 1 s.Cache.hits
 
-let l1_tbl : int Cache.table = Cache.create_table ~kind:"test.l1" ()
+(* ---------- L1 coherence across domains ---------- *)
 
 let test_l1_coherence () =
   (* a value computed by one domain must be observed — never recomputed —
@@ -364,9 +433,10 @@ let test_l1_coherence () =
   with_cache_enabled true @@ fun () ->
   Cache.clear ();
   Cache.reset_stats ();
+  let shared = isolated 1 in
   let computes = Atomic.make 0 in
   let get () =
-    Cache.memo l1_tbl ~key:"shared" (fun () ->
+    Cache.get l1_slot shared (fun () ->
         Atomic.incr computes;
         1729)
   in
@@ -419,19 +489,24 @@ let strip_cache snap =
     (fun (name, _) -> not (String.starts_with ~prefix:"cache." name))
     snap
 
+(* ELECT reads the classes slot per agent run; elect-cayley also reads
+   the cayley.recognize and oracle.translation slots of each drawn map *)
 let prop_sweep_differential =
   QCheck.Test.make ~name:"cached sweep = --no-cache sweep (-j 1/4)" ~count:3
     QCheck.(pair (int_bound 1_000) (oneofl [ 1; 4 ]))
     (fun (seed, jobs) ->
       let seeds = [ seed; seed + 1 ] in
-      let go () =
-        Campaign.sweep ~seeds ~strategies:two_strategies ~jobs
-          ~expected:Campaign.elect_expected elect (small_zoo ())
-        |> List.map norm
-      in
-      let cached = with_cache_enabled true go in
-      let uncached = with_cache_enabled false go in
-      cached = uncached)
+      List.for_all
+        (fun proto ->
+          let go () =
+            Campaign.sweep ~seeds ~strategies:two_strategies ~jobs
+              ~expected:Campaign.elect_expected proto (small_zoo ())
+            |> List.map norm
+          in
+          let cached = with_cache_enabled true go in
+          let uncached = with_cache_enabled false go in
+          cached = uncached)
+        [ elect; Qe_elect.Elect_cayley.protocol ])
 
 let test_observed_sweep_differential () =
   let go jobs =
@@ -537,20 +612,22 @@ let test_plan_node_class () =
     (small_zoo ())
 
 (* Switching canonicalization backends mid-process must never serve a
-   cached canon-derived artifact computed under the other backend: the
-   fingerprint table is keyed by backend tag AND the whole cache is
-   cleared on switch, so a switch always recomputes (observable as fresh
-   misses) while the values stay equal (the kernels agree). *)
+   cached artifact computed under the other backend: every entry is
+   keyed by the backend as well as the instance, so the first lookup
+   under each backend is a miss, later ones hit that backend's own entry
+   (the values stay equal: the kernels agree), and a slot whose value
+   names the backend that computed it never sees the other's. *)
 let test_backend_switch_invalidates () =
   let module Backend = Qe_symmetry.Canon_backend in
   let b = c6_antipodal () in
+  let misses () = (stat_of "certificate").Cache.misses in
+  let computed_under () = Cache.get backend_slot b Backend.tag in
   with_cache_enabled true (fun () ->
       Backend.with_backend Backend.Ocaml (fun () ->
           Cache.clear ();
           Cache.reset_stats ();
           let fp_ml = Cache.fingerprint b in
-          Alcotest.(check int) "cold ocaml fingerprint: one miss" 1
-            (stat_of "certificate").Cache.misses;
+          Alcotest.(check int) "cold ocaml fingerprint: one miss" 1 (misses ());
           let fp_c =
             Backend.with_backend Backend.C (fun () -> Cache.fingerprint b)
           in
@@ -558,13 +635,19 @@ let test_backend_switch_invalidates () =
             fp_c;
           Alcotest.(check int)
             "switch recomputes instead of serving the ocaml entry" 2
-            (stat_of "certificate").Cache.misses;
-          (* back under Ocaml the cache was cleared by the switch hooks,
-             so this is a miss again — never a stale cross-backend hit *)
+            (misses ());
           let fp_ml' = Cache.fingerprint b in
-          Alcotest.(check string) "recomputed value unchanged" fp_ml fp_ml';
-          Alcotest.(check int) "return switch also invalidates" 3
-            (stat_of "certificate").Cache.misses))
+          Alcotest.(check string) "ocaml entry unchanged" fp_ml fp_ml';
+          Alcotest.(check int) "back under ocaml, the ocaml entry is served" 2
+            (misses ());
+          Alcotest.(check string) "under c, only the c entry is served" fp_c
+            (Backend.with_backend Backend.C (fun () -> Cache.fingerprint b));
+          Alcotest.(check int) "no further miss" 2 (misses ());
+          Alcotest.(check (list string)) "no value crosses backends"
+            [ "ocaml"; "c"; "ocaml"; "c" ]
+            (List.map
+               (fun id -> Backend.with_backend id computed_under)
+               [ Backend.Ocaml; Backend.C; Backend.Ocaml; Backend.C ])))
 
 let () =
   Alcotest.run "cache"
@@ -581,13 +664,17 @@ let () =
         ] );
       ( "memo",
         [
-          Alcotest.test_case "basics + stats" `Quick test_memo_basics;
+          Alcotest.test_case "basics + stats" `Quick test_slot_basics;
           Alcotest.test_case "disabled bypass" `Quick test_disabled_bypasses;
           Alcotest.test_case "exception caching" `Quick test_exception_caching;
           Alcotest.test_case "single-flight hammer (8 domains)" `Quick
             test_single_flight_hammer;
           Alcotest.test_case "L1 coherence across domains" `Quick
             test_l1_coherence;
+          Alcotest.test_case "clear during a computation" `Quick
+            test_clear_during_compute;
+          Alcotest.test_case "warm accessors: one lookup" `Quick
+            test_warm_accessors_one_lookup;
         ] );
       ( "differential",
         [
