@@ -1830,14 +1830,14 @@ let resilience () =
 (* ---------- canonicalization backends: OCaml reference vs C stub ---------- *)
 
 let canon_backends () =
-  section "Canonicalization backends: pure-OCaml kernel vs C stub";
+  section "Canonicalization kernels: C production kernel vs OCaml reference";
   print_endline
     "the same individualization-refinement search, compiled twice. The\n\
      timed loop canonicalizes the bicolored digraph of every zoo\n\
      instance (standard + Cayley suites); both kernels are first\n\
      cross-checked on that exact workload, so the timings compare\n\
-     bit-identical work. Gate: the C kernel must run the sweep within\n\
-     2x of the OCaml kernel (it is expected to be faster).\n";
+     bit-identical work. Gate: the C kernel (Canon.run) must not be\n\
+     slower than the OCaml reference kernel (ratio <= 1.00x).\n";
   let module Canon = Qe_symmetry.Canon in
   let fails = ref [] in
   let digraphs =
@@ -1886,9 +1886,9 @@ let canon_backends () =
     ];
   Printf.printf "\ncross-checked %d instances, %d divergences\n"
     (List.length digraphs) (List.length !fails);
-  if ratio > 2.0 then
+  if ratio > 1.0 then
     fails :=
-      Printf.sprintf "C kernel %.2fx > 2.00x over the OCaml kernel" ratio
+      Printf.sprintf "C kernel %.2fx > 1.00x over the OCaml kernel" ratio
       :: !fails;
   recorded_backends :=
     [

@@ -20,7 +20,6 @@ module Color = Qe_color.Color
 module Campaign = Qe_elect.Campaign
 module Oracle = Qe_elect.Oracle
 module Canon = Qe_symmetry.Canon
-module Canon_backend = Qe_symmetry.Canon_backend
 module Cdigraph = Qe_symmetry.Cdigraph
 module Metrics = Qe_obs.Metrics
 open Cmdliner
@@ -119,20 +118,9 @@ let exit_stuck = 5 (* step limit or watchdog timeout *)
 let exit_inconsistent = 6
 let exit_chaos_violation = 7
 let exit_quarantined = 8
-let exit_divergence = 9 (* canonicalization backends disagreed *)
+let exit_divergence = 9 (* selftest: the canon kernels disagreed *)
 
 let outcome_exit_code = ref 0
-
-(* Every instance-touching command takes --canon-backend; [both] can
-   raise Divergence from any Canon.run, which all of them turn into
-   exit 9 via this handler. *)
-let catch_divergence e =
-  match Canon_backend.divergence_message e with
-  | Some msg ->
-      prerr_endline msg;
-      outcome_exit_code := exit_divergence;
-      `Ok ()
-  | None -> raise e
 
 let note_outcome o =
   outcome_exit_code :=
@@ -150,10 +138,9 @@ let fault_plans =
 
 (* ---------- run ---------- *)
 
-let run_cmd backend file instance graph agents protocol strategy seed verbose
+let run_cmd file instance graph agents protocol strategy seed verbose
     trace trace_out stats faults fault_seed =
   try
-    Option.iter Canon_backend.select backend;
     let g, black, name = resolve_instance ?file ~instance ~graph ~agents () in
     let proto =
       match List.assoc_opt protocol protocols with
@@ -260,7 +247,7 @@ let run_cmd backend file instance graph agents protocol strategy seed verbose
     | Some path -> Printf.printf "trace written to %s\n" path
     | None -> ());
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- report ---------- *)
 
@@ -423,9 +410,8 @@ let report_cmd path strict chrome =
 
 (* ---------- analyze ---------- *)
 
-let analyze_cmd backend file instance graph agents =
+let analyze_cmd file instance graph agents =
   try
-    Option.iter Canon_backend.select backend;
     let g, black, name = resolve_instance ?file ~instance ~graph ~agents () in
     let b = Bicolored.make g ~black in
     Printf.printf "instance %s: n=%d, m=%d, agents at {%s}\n" name (Graph.n g)
@@ -458,7 +444,7 @@ let analyze_cmd backend file instance graph agents =
     Printf.printf "overall prediction: %s\n"
       (Format.asprintf "%a" Oracle.pp_prediction (Oracle.predict b));
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- zoo ---------- *)
 
@@ -622,10 +608,9 @@ let report_supervision summary oc =
     outcome_exit_code := exit_quarantined
   end
 
-let sweep_cmd backend protocol seeds jobs no_cache stats metrics_port
+let sweep_cmd protocol seeds jobs no_cache stats metrics_port
     checkpoint resume task_deadline task_retries harness_chaos =
   try
-    Option.iter Canon_backend.select backend;
     if no_cache then Cache.set_enabled false;
     Cache.reset_stats ();
     if resume && checkpoint = None then
@@ -665,14 +650,13 @@ let sweep_cmd backend protocol seeds jobs no_cache stats metrics_port
         report_supervision summary stderr);
     if stats then print_cache_stats stderr;
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- chaos ---------- *)
 
-let chaos_cmd backend protocol seeds trace_out jobs no_cache stats
+let chaos_cmd protocol seeds trace_out jobs no_cache stats
     metrics_port checkpoint resume task_deadline task_retries harness_chaos =
   try
-    Option.iter Canon_backend.select backend;
     if no_cache then Cache.set_enabled false;
     Cache.reset_stats ();
     if resume && checkpoint = None then
@@ -757,7 +741,7 @@ let chaos_cmd backend protocol seeds trace_out jobs no_cache stats
     if stats then print_cache_stats stdout;
     if viol <> [] then outcome_exit_code := exit_chaos_violation;
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- selftest (differential canonicalization harness) ---------- *)
 
@@ -800,71 +784,82 @@ let selftest_corpus ~random_count =
   in
   zoo @ List.init random_count rand
 
-(* Everything a backend computes about one instance that the other
-   backend must reproduce bit-for-bit — including the non-latency metric
-   snapshot of the whole computation (canon.* and refine.* tallies). *)
-type st_row = {
-  r_fp : string;
+(* Everything one kernel computes about one digraph that the other
+   kernel must reproduce bit-for-bit, plus the run's full metric
+   snapshot (compared without latencies; merged with them for the
+   quantiles). *)
+type st_run = {
   r_cert : string;
   r_labeling : int array;
   r_orbits : int array;
   r_generators : int;
   r_leaves : int;
-  r_classes : string;
   r_snap : Metrics.snapshot;
 }
+
+(* One instance: its fingerprint (production kernel, computed once,
+   for the golden corpus) and both kernels' runs on every digraph that
+   [Classes.compute] canonizes, as (label, reference run, C run). *)
+type st_row = { r_fp : string; r_runs : (string * st_run * st_run) list }
 
 let strip_latency snap =
   List.filter (fun (name, _) -> not (Metrics.is_latency name)) snap
 
-let classes_repr t =
-  Classes.classes t
-  |> List.map (fun c -> String.concat "," (List.map string_of_int c))
-  |> String.concat ";"
+let instance_digraph b = ("instance digraph", Cdigraph.of_bicolored b)
 
-(* One backend over the whole corpus on the pool. The selection is
-   global, so it is switched once here, before any task runs; every
-   task computes under a private sink and returns its full snapshot so
-   quantiles can be merged afterwards. *)
-let selftest_phase pool backend items =
-  Canon_backend.select backend;
-  let f _i it =
-    let b = Bicolored.make it.st_graph ~black:it.st_black in
-    let d = Cdigraph.of_bicolored b in
-    let sink = Qe_obs.Sink.create () in
-    let row =
-      Qe_obs.Sink.with_ambient sink (fun () ->
-          let r = Canon.run d in
-          let fp = Cache.fingerprint_uncached b in
-          let cls = classes_repr (Classes.compute b) in
-          {
-            r_fp = fp;
-            r_cert = r.Canon.certificate;
-            r_labeling = r.Canon.canonical_labeling;
-            r_orbits = r.Canon.orbits;
-            r_generators = List.length r.Canon.generators;
-            r_leaves = r.Canon.leaves_visited;
-            r_classes = cls;
-            r_snap = [];
-          })
-    in
-    let snap = Metrics.snapshot sink.Qe_obs.Sink.metrics in
-    ({ row with r_snap = strip_latency snap }, snap)
-  in
-  Qe_par.Pool.map pool
-    ~weight:(fun _ it -> Graph.n it.st_graph + Graph.m it.st_graph)
-    ~f (Array.of_list items)
+(* The surrounding of each class representative: the classes are the
+   instance digraph's orbits, and their smallest members are the orbit
+   representatives whose surroundings the class order is built from. *)
+let surroundings b cls =
+  List.map
+    (fun c ->
+      let u = List.hd c in
+      (Printf.sprintf "surrounding of node %d" u, Cdigraph.of_surrounding b u))
+    (Classes.classes cls)
 
-let row_divergence a b =
+(* Each kernel runs under its own private sink, so the snapshot is
+   exactly that run's canon.* and refine.* tallies. *)
+let kernel_run kernel d =
+  let sink = Qe_obs.Sink.create () in
+  let r = Qe_obs.Sink.with_ambient sink (fun () -> kernel d) in
+  {
+    r_cert = r.Canon.certificate;
+    r_labeling = r.Canon.canonical_labeling;
+    r_orbits = r.Canon.orbits;
+    r_generators = List.length r.Canon.generators;
+    r_leaves = r.Canon.leaves_visited;
+    r_snap = Metrics.snapshot sink.Qe_obs.Sink.metrics;
+  }
+
+let selftest_row it =
+  let b = Bicolored.make it.st_graph ~black:it.st_black in
+  let cls = Classes.compute b in
+  {
+    r_fp = Cache.fingerprint_uncached b;
+    r_runs =
+      List.map
+        (fun (label, d) ->
+          (label, kernel_run Canon.run_ocaml d, kernel_run Canon.run_c d))
+        (instance_digraph b :: surroundings b cls);
+  }
+
+let run_divergence a b =
   if a.r_cert <> b.r_cert then Some "certificate"
   else if a.r_labeling <> b.r_labeling then Some "canonical labeling"
   else if a.r_orbits <> b.r_orbits then Some "orbits"
   else if a.r_generators <> b.r_generators then Some "generator count"
   else if a.r_leaves <> b.r_leaves then Some "leaves visited"
-  else if a.r_fp <> b.r_fp then Some "fingerprint"
-  else if a.r_classes <> b.r_classes then Some "class partition"
-  else if a.r_snap <> b.r_snap then Some "metric snapshot"
+  else if strip_latency a.r_snap <> strip_latency b.r_snap then
+    Some "metric snapshot"
   else None
+
+let row_divergence row =
+  List.find_map
+    (fun (label, a, b) ->
+      Option.map
+        (fun field -> Printf.sprintf "%s (%s)" field label)
+        (run_divergence a b))
+    row.r_runs
 
 (* Greedy structural minimizer for a diverging instance: drop edges,
    then agents, as long as the kernels still disagree. An exception in
@@ -875,12 +870,21 @@ let kernel_sig kernel d =
       Ok (r.Canon.certificate, r.Canon.orbits, r.Canon.leaves_visited)
   | exception e -> Error (Printexc.to_string e)
 
+(* Checks the same digraphs as the selftest row. If the instance
+   digraph agrees, both kernels raised alike or neither did, so a
+   failing [Classes.compute] leaves nothing else to compare. *)
 let pair_diverges g black =
   match Bicolored.make g ~black with
   | exception _ -> false
-  | b ->
-      let d = Cdigraph.of_bicolored b in
-      kernel_sig Canon.run_ocaml d <> kernel_sig Canon.run_c d
+  | b -> (
+      let diverges (_, d) =
+        kernel_sig Canon.run_ocaml d <> kernel_sig Canon.run_c d
+      in
+      diverges (instance_digraph b)
+      ||
+      match Classes.compute b with
+      | cls -> List.exists diverges (surroundings b cls)
+      | exception _ -> false)
 
 let minimize_counterexample g black =
   let n = Graph.n g in
@@ -914,7 +918,7 @@ let minimize_counterexample g black =
   done;
   (graph_of !edges, !agents)
 
-let print_backend_metrics name merged =
+let print_kernel_metrics name merged =
   let kernel =
     List.filter
       (fun (n, _) ->
@@ -922,123 +926,125 @@ let print_backend_metrics name merged =
         || String.starts_with ~prefix:"refine." n)
       merged
   in
-  Printf.printf "backend %s:\n" name;
+  Printf.printf "kernel %s:\n" name;
   print_string (Metrics.render (strip_latency kernel));
   print_latency_quantiles stdout kernel
 
 let selftest_cmd random_count jobs brute_cap write_golden dump_path =
   try
-    (* no memoized artifact may mask a backend divergence *)
+    (* no memoized artifact may mask a kernel divergence *)
     Cache.set_enabled false;
-    let saved_backend = Canon_backend.current () in
+    let items = selftest_corpus ~random_count in
+    let jobs = Qe_par.Pool.resolve_jobs jobs in
+    Printf.printf
+      "selftest: %d instances (%d zoo + %d random), kernels ocaml+c, -j %d\n\
+       %!"
+      (List.length items)
+      (List.length items - random_count)
+      random_count jobs;
+    let pool = Qe_par.Pool.create ~jobs () in
     Fun.protect
-      ~finally:(fun () -> Canon_backend.select saved_backend)
+      ~finally:(fun () -> Qe_par.Pool.shutdown pool)
       (fun () ->
-        let items = selftest_corpus ~random_count in
-        let jobs = Qe_par.Pool.resolve_jobs jobs in
-        Printf.printf
-          "selftest: %d instances (%d zoo + %d random), backends ocaml+c, \
-           -j %d\n\
-           %!"
-          (List.length items)
-          (List.length items - random_count)
-          random_count jobs;
-        let pool = Qe_par.Pool.create ~jobs () in
-        Fun.protect
-          ~finally:(fun () -> Qe_par.Pool.shutdown pool)
-          (fun () ->
-            let ml = selftest_phase pool Canon_backend.Ocaml items in
-            let c = selftest_phase pool Canon_backend.C items in
-            let merge rows =
-              Array.fold_left
-                (fun acc (_, snap) -> Metrics.merge acc snap)
-                [] rows
+        let rows =
+          Qe_par.Pool.map pool
+            ~weight:(fun _ it -> Graph.n it.st_graph + Graph.m it.st_graph)
+            ~f:(fun _ it -> selftest_row it)
+            (Array.of_list items)
+        in
+        let merge pick =
+          Array.fold_left
+            (fun acc row ->
+              List.fold_left
+                (fun acc run -> Metrics.merge acc (pick run).r_snap)
+                acc row.r_runs)
+            [] rows
+        in
+        print_kernel_metrics "ocaml" (merge (fun (_, a, _) -> a));
+        print_kernel_metrics "c" (merge (fun (_, _, c) -> c));
+        (match write_golden with
+        | None -> ()
+        | Some path ->
+            let oc = open_out path in
+            Fun.protect
+              ~finally:(fun () -> close_out oc)
+              (fun () ->
+                List.iteri
+                  (fun i it ->
+                    if not (String.starts_with ~prefix:"random-" it.st_label)
+                    then Printf.fprintf oc "%s %s\n" it.st_label rows.(i).r_fp)
+                  items);
+            Printf.printf "golden corpus written to %s\n" path);
+        (* cross-kernel comparison, every instance *)
+        let divergences = ref [] in
+        List.iteri
+          (fun i it ->
+            match row_divergence rows.(i) with
+            | Some field -> divergences := (it, field) :: !divergences
+            | None -> ())
+          items;
+        (* Brute agreement on small instances (factorial-time, so the
+           n = 8 slice is capped; the cap is reported, never silent) *)
+        let small =
+          List.filter
+            (fun (_, it) -> Graph.n it.st_graph <= 8)
+            (List.mapi (fun i it -> (i, it)) items)
+        in
+        let n7, n8 =
+          List.partition (fun (_, it) -> Graph.n it.st_graph <= 7) small
+        in
+        let take k l = List.filteri (fun i _ -> i < k) l in
+        let brute_jobs = take brute_cap n7 @ take 8 n8 in
+        let skipped = List.length small - List.length brute_jobs in
+        if skipped > 0 then
+          Printf.printf
+            "brute check: %d of %d small instances (cap; raise \
+             --brute-cap to widen)\n"
+            (List.length brute_jobs) (List.length small)
+        else
+          Printf.printf "brute check: %d instances (all with n <= 8)\n"
+            (List.length brute_jobs);
+        let brute_res =
+          Qe_par.Pool.map pool
+            ~f:(fun _ (i, it) ->
+              let b = Bicolored.make it.st_graph ~black:it.st_black in
+              let truth = Brute.orbits (Cdigraph.of_bicolored b) in
+              let _, reference, _ = List.hd rows.(i).r_runs in
+              if truth <> reference.r_orbits then Some (it, "brute orbits")
+              else None)
+            (Array.of_list brute_jobs)
+        in
+        Array.iter
+          (function
+            | Some d -> divergences := d :: !divergences | None -> ())
+          brute_res;
+        match List.rev !divergences with
+        | [] ->
+            Printf.printf
+              "selftest OK: %d instances, 0 divergences (instance \
+               digraphs and surroundings: certificates, labelings, orbits, \
+               search statistics)\n"
+              (List.length items)
+        | (it, _) :: _ as all ->
+            Printf.printf "selftest FAILED: %d diverging instance(s)\n"
+              (List.length all);
+            List.iter
+              (fun (it, field) ->
+                Printf.printf "  %s: %s differ\n" it.st_label field)
+              (take 10 all);
+            let g', black' = minimize_counterexample it.st_graph it.st_black
             in
-            print_backend_metrics "ocaml" (merge ml);
-            print_backend_metrics "c" (merge c);
-            (match write_golden with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    List.iteri
-                      (fun i it ->
-                        if not (String.starts_with ~prefix:"random-" it.st_label)
-                        then
-                          Printf.fprintf oc "%s %s\n" it.st_label
-                            (fst ml.(i)).r_fp)
-                      items);
-                Printf.printf "golden corpus written to %s\n" path);
-            (* cross-backend comparison, every instance *)
-            let divergences = ref [] in
-            List.iteri
-              (fun i it ->
-                match row_divergence (fst ml.(i)) (fst c.(i)) with
-                | Some field -> divergences := (it, field) :: !divergences
-                | None -> ())
-              items;
-            (* Brute agreement on small instances (factorial-time, so the
-               n = 8 slice is capped; the cap is reported, never silent) *)
-            let small =
-              List.filter
-                (fun (_, it) -> Graph.n it.st_graph <= 8)
-                (List.mapi (fun i it -> (i, it)) items)
+            let g', black' =
+              if pair_diverges g' black' then (g', black')
+              else (it.st_graph, it.st_black)
             in
-            let n7, n8 =
-              List.partition (fun (_, it) -> Graph.n it.st_graph <= 7) small
-            in
-            let take k l = List.filteri (fun i _ -> i < k) l in
-            let brute_jobs = take brute_cap n7 @ take 8 n8 in
-            let skipped = List.length small - List.length brute_jobs in
-            if skipped > 0 then
-              Printf.printf
-                "brute check: %d of %d small instances (cap; raise \
-                 --brute-cap to widen)\n"
-                (List.length brute_jobs) (List.length small)
-            else
-              Printf.printf "brute check: %d instances (all with n <= 8)\n"
-                (List.length brute_jobs);
-            let brute_res =
-              Qe_par.Pool.map pool
-                ~f:(fun _ (i, it) ->
-                  let b = Bicolored.make it.st_graph ~black:it.st_black in
-                  let truth = Brute.orbits (Cdigraph.of_bicolored b) in
-                  if truth <> (fst ml.(i)).r_orbits then Some (it, "brute orbits")
-                  else None)
-                (Array.of_list brute_jobs)
-            in
-            Array.iter
-              (function
-                | Some d -> divergences := d :: !divergences | None -> ())
-              brute_res;
-            match List.rev !divergences with
-            | [] ->
-                Printf.printf
-                  "selftest OK: %d instances, 0 divergences (fingerprints, \
-                   class partitions, orbits, search statistics)\n"
-                  (List.length items)
-            | (it, _) :: _ as all ->
-                Printf.printf "selftest FAILED: %d diverging instance(s)\n"
-                  (List.length all);
-                List.iter
-                  (fun (it, field) ->
-                    Printf.printf "  %s: %s differ\n" it.st_label field)
-                  (take 10 all);
-                let g', black' = minimize_counterexample it.st_graph it.st_black
-                in
-                let g', black' =
-                  if pair_diverges g' black' then (g', black')
-                  else (it.st_graph, it.st_black)
-                in
-                Qe_graph.Serial.save ~path:dump_path ~black:black' g';
-                Printf.printf
-                  "minimized counterexample (%s, %d nodes, %d edges, %d \
-                   agents) written to %s\n"
-                  it.st_label (Graph.n g') (Graph.m g') (List.length black')
-                  dump_path;
-                outcome_exit_code := exit_divergence));
+            Qe_graph.Serial.save ~path:dump_path ~black:black' g';
+            Printf.printf
+              "minimized counterexample (%s, %d nodes, %d edges, %d \
+               agents) written to %s\n"
+              it.st_label (Graph.n g') (Graph.m g') (List.length black')
+              dump_path;
+            outcome_exit_code := exit_divergence);
     `Ok ()
   with Failure msg -> `Error (false, msg)
 
@@ -1159,9 +1165,8 @@ let frontier_measure slow_check spec =
     fr_slow = slow;
   }
 
-let frontier_cmd backend specs jobs budget_mb slow_check =
+let frontier_cmd specs jobs budget_mb slow_check =
   try
-    Option.iter Canon_backend.select backend;
     if specs = [] then failwith "need at least one --spec (e.g. --spec circulant:100000:1+3+9)";
     let jobs = Qe_par.Pool.resolve_jobs jobs in
     let rows =
@@ -1219,30 +1224,9 @@ let frontier_cmd backend specs jobs budget_mb slow_check =
         outcome_exit_code := 1
     | _ -> ());
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- cmdliner plumbing ---------- *)
-
-let backend_arg =
-  let backend_conv =
-    Arg.enum
-      [
-        ("ocaml", Canon_backend.Ocaml);
-        ("c", Canon_backend.C);
-        ("both", Canon_backend.Both);
-      ]
-  in
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "canon-backend" ]
-        ~doc:
-          "Canonicalization kernel: $(b,ocaml) (pure-OCaml reference), \
-           $(b,c) (C stub) or $(b,both) (run both, cross-check, exit 9 on \
-           divergence). Defaults to $(b,QELECT_CANON_BACKEND) or ocaml. \
-           Results are bit-identical across backends — enforced by \
-           $(b,qelect selftest)."
-        ~docv:"KERNEL")
 
 let file_arg =
   Arg.(value & opt (some string) None & info [ "file"; "f" ] ~doc:"Instance file (qelect-instance format).")
@@ -1300,7 +1284,7 @@ let fault_seed_arg =
 let run_term =
   Term.(
     ret
-      (const run_cmd $ backend_arg $ file_arg $ instance_arg $ graph_arg
+      (const run_cmd $ file_arg $ instance_arg $ graph_arg
      $ agents_arg $ protocol_arg $ strategy_arg $ seed_arg $ verbose_arg
      $ trace_arg $ trace_out_arg $ stats_arg $ faults_arg $ fault_seed_arg))
 
@@ -1336,7 +1320,7 @@ let report_term =
 let analyze_term =
   Term.(
     ret
-      (const analyze_cmd $ backend_arg $ file_arg $ instance_arg $ graph_arg
+      (const analyze_cmd $ file_arg $ instance_arg $ graph_arg
      $ agents_arg))
 
 let zoo_term = Term.(ret (const zoo_cmd $ const ()))
@@ -1456,7 +1440,7 @@ let harness_chaos_arg =
 let sweep_term =
   Term.(
     ret
-      (const sweep_cmd $ backend_arg $ protocol_arg $ seeds_arg $ jobs_arg
+      (const sweep_cmd $ protocol_arg $ seeds_arg $ jobs_arg
      $ no_cache_arg $ cache_stats_arg $ metrics_port_arg $ checkpoint_arg
      $ resume_arg $ task_deadline_arg $ task_retries_arg $ harness_chaos_arg))
 
@@ -1475,7 +1459,7 @@ let chaos_trace_out_arg =
 
 let chaos_term =
   Term.(
-    ret (const chaos_cmd $ backend_arg $ protocol_arg $ chaos_seeds_arg
+    ret (const chaos_cmd $ protocol_arg $ chaos_seeds_arg
        $ chaos_trace_out_arg $ jobs_arg $ no_cache_arg $ cache_stats_arg
        $ metrics_port_arg $ checkpoint_arg $ resume_arg $ task_deadline_arg
        $ task_retries_arg $ harness_chaos_arg))
@@ -1506,8 +1490,7 @@ let write_golden_arg =
     & info [ "write-golden" ]
         ~doc:
           "Write the zoo fingerprint corpus (name + canonical fingerprint \
-           per line, OCaml backend) to $(docv) — regenerates \
-           test/data/canon_golden.txt."
+           per line) to $(docv) — regenerates test/data/canon_golden.txt."
         ~docv:"FILE")
 
 let dump_arg =
@@ -1558,7 +1541,7 @@ let slow_check_arg =
 let frontier_term =
   Term.(
     ret
-      (const frontier_cmd $ backend_arg $ frontier_specs_arg $ jobs_arg
+      (const frontier_cmd $ frontier_specs_arg $ jobs_arg
      $ budget_mb_arg $ slow_check_arg))
 
 let run_exits =
@@ -1589,8 +1572,8 @@ let chaos_exits =
 let selftest_exits =
   Cmd.Exit.info exit_divergence
     ~doc:
-      "The canonicalization backends diverged; a minimized counterexample \
-       was dumped."
+      "Selftest only: the C kernel and the OCaml reference kernel \
+       diverged; a minimized counterexample was dumped."
   :: Cmd.Exit.defaults
 
 let cmds =
@@ -1636,14 +1619,15 @@ let cmds =
     Cmd.v
       (Cmd.info "selftest" ~exits:selftest_exits
          ~doc:
-           "Differentially verify the canonicalization backends: run the \
-            pure-OCaml and C kernels over the full instance zoo plus seeded \
-            random bicolored digraphs, cross-checking canonical \
-            fingerprints, class partitions, automorphism orbits, search \
-            statistics and metric snapshots — and both against the \
-            factorial-time $(b,Brute) reference on instances with <= 8 \
-            nodes. Exits 9 with a minimized counterexample dump on any \
-            divergence.")
+           "Differentially verify the production canon kernel (C) against \
+            the pure-OCaml reference kernel over the full instance zoo \
+            plus seeded random bicolored digraphs: on each instance \
+            digraph and on the surrounding of every orbit representative, \
+            cross-check certificates, canonical labelings, automorphism \
+            orbits, search statistics and metric snapshots — and the \
+            orbits against the factorial-time $(b,Brute) reference on \
+            instances with <= 8 nodes. Exits 9 with a minimized \
+            counterexample dump on any divergence.")
       selftest_term;
     Cmd.v
       (Cmd.info "frontier"

@@ -140,7 +140,7 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
         else None)
   in
 
-  (* Searcher and waiter sides of an agent phase. Both return either
+  (* Searcher and waiter sides of an agent phase. Each returns either
      [`Active d] — the phase finished and I am one of the [d] survivors —
      or [`Verdict v] — my run ends passively with verdict [v]. *)
   let rec searcher_rounds p s0 w0 s w j =

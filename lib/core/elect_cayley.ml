@@ -2,7 +2,7 @@ module Protocol = Qe_runtime.Protocol
 module Cayley_detect = Qe_symmetry.Cayley_detect
 module Cache = Qe_symmetry.Artifact_cache
 
-(* Both per-run map analyses are pure functions of the drawn map, so
+(* The two per-run map analyses are pure functions of the drawn map, so
    both are slots of the map instance's cache entry: recognition
    (which dominates the cost of an elect-cayley run) here, the
    translation verdict through {!Oracle.translation_impossible}. *)

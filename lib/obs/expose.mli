@@ -41,7 +41,7 @@ val start :
     read it back with {!port}) and start serving on a fresh domain.
     [read_deadline_ns] (default 5 s) bounds how long a connection may
     take to deliver its request; [max_conns] (default 32) bounds
-    concurrently-serviced connections. Both are clamped to sane minima.
+    concurrently-serviced connections. Each is clamped to a sane minimum.
     @raise Unix.Unix_error if the bind or listen fails (port taken). *)
 
 val port : t -> int

@@ -13,7 +13,7 @@ let enabled () = Atomic.get enabled_flag
 
 (* ---------- sink plumbing ---------- *)
 
-(* Both take the ambient sink, read once per lookup. *)
+(* Each takes the ambient sink, read once per lookup. *)
 let bump sink name =
   match sink with
   | None -> ()
@@ -38,14 +38,10 @@ module Graph = Qe_graph.Graph
 module Bicolored = Qe_graph.Bicolored
 module Csr = Qe_graph.Csr
 
-(* An entry is a function of the instance and of the canonicalization
-   backend that computes its canon-derived artifacts. The values are
-   supposed to be backend-independent (selftest's whole job is proving
-   that), but the cache must never be the thing hiding a divergence, so
-   every entry is scoped by the backend. The instance is held by
-   reference — the entry keeps it alive until [clear] — and compared
+(* An entry is a function of the instance alone. The instance is held
+   by reference — the entry keeps it alive until [clear] — and compared
    exactly; the digest only picks the bucket. *)
-type key = { digest : int; backend : Canon_backend.id; inst : Bicolored.t }
+type key = { digest : int; inst : Bicolored.t }
 
 (* 63-bit finalizer (xorshift-multiply, splitmix64 shape). *)
 let mix x =
@@ -164,7 +160,7 @@ module Keyed = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
-    a.digest = b.digest && a.backend = b.backend && same_instance a.inst b.inst
+    a.digest = b.digest && same_instance a.inst b.inst
 
   let hash k = k.digest land max_int
 end)
@@ -490,13 +486,7 @@ let get s b compute =
   if not (enabled ()) then compute ()
   else begin
     let t0 = Clock.now_ns () in
-    let key =
-      {
-        digest = instance_digest b;
-        backend = Canon_backend.current ();
-        inst = b;
-      }
-    in
+    let key = { digest = instance_digest b; inst = b } in
     let l1 = Domain.DLS.get l1_key in
     let gen = Atomic.get generation in
     if l1.gen <> gen then begin

@@ -4,8 +4,8 @@
     {!Classes.compute}, the oracle verdicts — per (instance, strategy,
     seed), even though all of it is a pure function of the bicolored
     instance. This module is a process-wide, domain-safe cache mapping
-    (canon backend, instance) to {e one} entry. The entry holds one lazily
-    filled cell per artifact kind, a {!slot}: the equivalence classes
+    each instance to {e one} entry. The entry holds one lazily filled
+    cell per artifact kind, a {!slot}: the equivalence classes
     ([classes]), the canonical fingerprint ([certificate]), and the
     slots its clients register at module initialisation
     ([oracle.predict], [oracle.translation], [cayley.recognize]). Values
@@ -21,11 +21,10 @@
     empty cell computes it, and concurrent readers of that cell block
     until it is settled.
 
-    {b Keys.} An entry is keyed by the selected {!Canon_backend.id}
-    (so nothing computed under one backend is ever served under another)
-    and the instance itself. The key holds the {!Qe_graph.Bicolored.t}
-    by reference plus an order-independent O(n + m) digest of (n, black
-    mask, multiset of darts [u -> dst]) read straight off the CSR arrays.
+    {b Keys.} An entry is keyed by the instance itself: the key holds
+    the {!Qe_graph.Bicolored.t} by reference plus an order-independent
+    O(n + m) digest of (n, black mask, multiset of darts [u -> dst])
+    read straight off the CSR arrays.
     The digest is derived at most once per value and parked on it
     ({!Qe_graph.Bicolored.key_digest}); it only picks the bucket. Every
     L1/L2 hit then runs an exact, allocation-free equality check —
@@ -155,7 +154,7 @@ val fingerprint : Qe_graph.Bicolored.t -> string
 
 val fingerprint_uncached : Qe_graph.Bicolored.t -> string
 (** The same computation with no caching at all — the differential
-    harness uses it so a cache hit can never mask a backend
+    harness uses it so a cache hit can never mask a kernel
     divergence. *)
 
 val classes : Qe_graph.Bicolored.t -> Classes.t

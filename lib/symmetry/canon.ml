@@ -89,17 +89,45 @@ let compare_int_arrays (a : int array) (b : int array) =
 (* Flat arc arrays of a digraph — the common input shape of both
    kernels (and exactly what the C stub marshals). Zero-copy: the
    digraph stores these arrays; both kernels only read them. *)
-let graph_arrays g =
-  let n = Cdigraph.n g in
-  let m = Cdigraph.num_arcs g in
+type flat = {
+  n : int;
+  m : int;
+  kcol : int;
+  colors : int array;
+  asrc : int array;
+  adst : int array;
+  acol : int array;
+}
+
+let flat_of g =
   let asrc, adst, acol = Cdigraph.arcs_arrays g in
-  let kcol = 1 + Array.fold_left max 0 acol in
-  let colors = Cdigraph.node_colors_array g in
-  (n, m, kcol, colors, asrc, adst, acol)
+  {
+    n = Cdigraph.n g;
+    m = Cdigraph.num_arcs g;
+    kcol = 1 + Array.fold_left max 0 acol;
+    colors = Cdigraph.node_colors_array g;
+    asrc;
+    adst;
+    acol;
+  }
+
+(* Leaf certificate of labeling [p] as an int array, written into
+   [out]: node colors in canonical order, then arcs packed as
+   ((src' * n + dst') * kcol + color), sorted. Leaves of the same graph
+   compare lexicographically. The two kernels minimize over exactly this
+   packing (the C one in 64-bit keys). *)
+let leaf_cert { n; m; kcol; colors; asrc; adst; acol } p out =
+  for u = 0 to n - 1 do
+    out.(p.(u)) <- colors.(u)
+  done;
+  for i = 0 to m - 1 do
+    out.(n + i) <- ((((p.(asrc.(i)) * n) + p.(adst.(i))) * kcol) + acol.(i))
+  done;
+  sort_sub out n (n + m)
 
 (* The string form prefixes n, m and kcol so certificates stay
    injective across graphs; both backends share this builder. *)
-let certificate_string ~n ~m ~kcol (cert_ints : int array) =
+let certificate_string { n; m; kcol; _ } (cert_ints : int array) =
   let buf = Buffer.create (16 + (8 * Array.length cert_ints)) in
   Buffer.add_string buf (string_of_int n);
   Buffer.add_char buf '|';
@@ -115,24 +143,9 @@ let certificate_string ~n ~m ~kcol (cert_ints : int array) =
   Buffer.contents buf
 
 let run_ocaml ?(max_leaves = 200_000) g =
-  let n, m, kcol, colors, asrc, adst, acol = graph_arrays g in
-  (* Leaf certificate as an int array: node colors in canonical order,
-     then arcs packed as ((src' * n + dst') * kcol + color), sorted.
-     Leaves of the same graph compare lexicographically; the string form
-     (built once at the end) prefixes n, m and kcol so certificates stay
-     injective across graphs. *)
-  let cert_len = n + m in
-  let scratch = Array.make (max 1 cert_len) 0 in
-  let leaf_cert p =
-    for u = 0 to n - 1 do
-      scratch.(p.(u)) <- colors.(u)
-    done;
-    for i = 0 to m - 1 do
-      scratch.(n + i) <- ((((p.(asrc.(i)) * n) + p.(adst.(i))) * kcol) + acol.(i))
-    done;
-    sort_sub scratch n cert_len;
-    scratch
-  in
+  let f = flat_of g in
+  let n = f.n in
+  let scratch = Array.make (max 1 (n + f.m)) 0 in
   (* --- search state --- *)
   let best_cert = ref None in
   let best_label = ref [||] in
@@ -265,7 +278,8 @@ let run_ocaml ?(max_leaves = 200_000) g =
       if Refine.is_discrete p then begin
         incr leaves;
         if !leaves > max_leaves then raise Budget_exceeded;
-        let cert = leaf_cert p in
+        leaf_cert f p scratch;
+        let cert = scratch in
         match !best_cert with
         | None ->
             best_cert := Some (Array.copy cert);
@@ -326,7 +340,7 @@ let run_ocaml ?(max_leaves = 200_000) g =
   let cert_ints =
     match !best_cert with Some c -> c | None -> assert false
   in
-  let certificate = certificate_string ~n ~m ~kcol cert_ints in
+  let certificate = certificate_string f cert_ints in
   let orbits = Array.init n (fun u -> Uf.find uf u) in
   {
     certificate;
@@ -337,14 +351,37 @@ let run_ocaml ?(max_leaves = 200_000) g =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The C backend: Canon_c does the search; this wrapper owns
+(* The C kernel: Canon_c does the search; this wrapper owns
    marshalling, telemetry, and rebuilding the certificate string from
    the returned canonical labeling. The reconstruction replays exactly
    the kernel's own leaf-certificate packing, so the string is
    bit-identical to what the search minimized over. *)
 
+(* The stub holds node/arc colors, n and m in C ints and packs leaf
+   keys into 64 bits, so n^2 * kcol must not exceed [max_int] (the
+   largest packed key then fits an OCaml int as well). Colors are
+   non-negative ([Cdigraph.make] checks). *)
+let c_int_max = 0x7fff_ffff
+
+let check_c_range { n; m; kcol; colors; _ } =
+  let fits x = x <= c_int_max in
+  if
+    not
+      (n + m <= c_int_max
+      && fits (kcol - 1)
+      && Array.for_all fits colors
+      && kcol <= max_int / max 1 (n * n))
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Canon.run_c: digraph outside the C kernel's range (n=%d m=%d \
+          kcol=%d)"
+         n m kcol)
+
 let run_c ?(max_leaves = 200_000) g =
-  let n, m, kcol, colors, asrc, adst, acol = graph_arrays g in
+  let f = flat_of g in
+  check_c_range f;
+  let n = f.n and m = f.m in
   (* the stub reads array lengths, so pass exact-length arc arrays *)
   let exact a = if m = Array.length a then a else Array.sub a 0 m in
   let t_start =
@@ -353,8 +390,8 @@ let run_c ?(max_leaves = 200_000) g =
     | None -> 0
   in
   let raw =
-    Canon_c.run ~colors ~asrc:(exact asrc) ~adst:(exact adst)
-      ~acol:(exact acol) ~max_leaves
+    Canon_c.run ~colors:f.colors ~asrc:(exact f.asrc) ~adst:(exact f.adst)
+      ~acol:(exact f.acol) ~max_leaves
   in
   (match Qe_obs.Sink.ambient () with
   | None -> ()
@@ -363,7 +400,7 @@ let run_c ?(max_leaves = 200_000) g =
       let mt = s.Qe_obs.Sink.metrics in
       (* the OCaml path records these from inside Refine / the search;
          the C kernel tallies the same quantities and flushes them here,
-         so non-latency snapshots are backend-independent *)
+         so non-latency snapshots are kernel-independent *)
       add (counter mt "refine.fixpoints") raw.Canon_c.fixpoints;
       add (counter mt "refine.splitters") raw.Canon_c.splitters;
       record_max (gauge mt "refine.queue_hwm") raw.Canon_c.queue_hwm;
@@ -382,18 +419,10 @@ let run_c ?(max_leaves = 200_000) g =
           (Qe_obs.Clock.now_ns () - t_start));
   if raw.Canon_c.budget_exceeded then raise Budget_exceeded;
   let p = raw.Canon_c.labeling in
-  let cert_len = n + m in
-  let cert_ints = Array.make (max 1 cert_len) 0 in
-  for u = 0 to n - 1 do
-    cert_ints.(p.(u)) <- colors.(u)
-  done;
-  for i = 0 to m - 1 do
-    cert_ints.(n + i) <-
-      ((((p.(asrc.(i)) * n) + p.(adst.(i))) * kcol) + acol.(i))
-  done;
-  sort_sub cert_ints n cert_len;
+  let cert_ints = Array.make (max 1 (n + m)) 0 in
+  leaf_cert f p cert_ints;
   {
-    certificate = certificate_string ~n ~m ~kcol cert_ints;
+    certificate = certificate_string f cert_ints;
     canonical_labeling = p;
     generators =
       (* the OCaml kernel prepends as it discovers, so newest first *)
@@ -402,41 +431,7 @@ let run_c ?(max_leaves = 200_000) g =
     leaves_visited = raw.Canon_c.leaves;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch on the selected backend. [Both] is the differential mode:
-   run both kernels, insist they agree on certificate and orbit
-   partition, return the reference result. *)
-
-let short s = if String.length s <= 64 then s else String.sub s 0 64 ^ "..."
-
-let run ?max_leaves g =
-  match Canon_backend.current () with
-  | Canon_backend.Ocaml -> run_ocaml ?max_leaves g
-  | Canon_backend.C -> run_c ?max_leaves g
-  | Canon_backend.Both ->
-      let a = run_ocaml ?max_leaves g in
-      let b = run_c ?max_leaves g in
-      if not (String.equal a.certificate b.certificate) then
-        raise
-          (Canon_backend.Divergence
-             {
-               backend_a = Canon_backend.Ocaml;
-               backend_b = Canon_backend.C;
-               detail =
-                 Printf.sprintf "certificate %s vs %s" (short a.certificate)
-                   (short b.certificate);
-             })
-      else if a.orbits <> b.orbits then
-        raise
-          (Canon_backend.Divergence
-             {
-               backend_a = Canon_backend.Ocaml;
-               backend_b = Canon_backend.C;
-               detail =
-                 Printf.sprintf "orbit partitions differ on %d nodes"
-                   (Cdigraph.n g);
-             })
-      else a
+let run = run_c
 
 let certificate ?max_leaves g = (run ?max_leaves g).certificate
 

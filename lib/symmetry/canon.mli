@@ -9,12 +9,12 @@
     the total order [≺] the protocol needs. The brute-force reference lives
     in {!Brute} and the two are cross-checked in tests.
 
-    The kernel exists twice: {!run_ocaml}, the pure-OCaml reference, and
-    {!run_c}, a C port with the same orderings everywhere
-    ([canon_stubs.c], bound through {!Canon_c}). {!run} dispatches on
-    {!Canon_backend.current}; the two must agree bit-for-bit on
-    certificate, labeling, generators, orbits and search statistics,
-    which [qelect selftest] and the [both] backend enforce continuously.
+    The kernel exists twice: {!run_c}, a C port that is the production
+    kernel ({!run}), and {!run_ocaml}, the pure-OCaml reference it is
+    checked against. They use the same orderings everywhere
+    ([canon_stubs.c], bound through {!Canon_c}) and must agree
+    bit-for-bit on certificate, labeling, generators, orbits and search
+    statistics, which [qelect selftest] and the test suite enforce.
 
     Internally the search compares leaves as packed int arrays
     (stringified once at the API boundary) and cuts subtrees whose
@@ -39,11 +39,8 @@ type result = {
 }
 
 val run : ?max_leaves:int -> Cdigraph.t -> result
-(** Full search with the backend selected in {!Canon_backend}
-    (default [Ocaml]; [QELECT_CANON_BACKEND] / [--canon-backend]
-    override). Under [Both] it runs both kernels, checks certificate
-    and orbits, raises {!Canon_backend.Divergence} on mismatch and
-    returns the OCaml result. [max_leaves] defaults to 200_000.
+(** Full search with the production kernel, {!run_c}. [max_leaves]
+    defaults to 200_000.
 
     Telemetry: when an ambient sink is installed
     ({!Qe_obs.Sink.with_ambient}), each call records counters
@@ -51,20 +48,25 @@ val run : ?max_leaves:int -> Cdigraph.t -> result
     [canon.prune.orbit] and [canon.prune.invariant] (subtrees cut by
     each pruning rule), [canon.generators], histogram
     [canon.leaves_per_run] and latency [canon.run_latency]. The C
-    backend tallies the same quantities inside the stub (including the
+    kernel tallies the same quantities inside the stub (including the
     [refine.*] counters the OCaml path records from {!Refine}), so
-    non-latency snapshots are backend-independent. The tallies are
+    non-latency snapshots are kernel-independent. The tallies are
     flushed even when the search dies with {!Budget_exceeded}, so
     aborted searches are visible too.
-    @raise Budget_exceeded if the tree is bigger than the budget. *)
+    @raise Budget_exceeded if the tree is bigger than the budget.
+    @raise Invalid_argument as {!run_c}. *)
 
 val run_ocaml : ?max_leaves:int -> Cdigraph.t -> result
-(** The pure-OCaml kernel, regardless of the selected backend. *)
+(** The pure-OCaml reference kernel: the same results and telemetry as
+    {!run_c}, without its range limits. Tests, [qelect selftest] and
+    the kernel benchmark compare {!run_c} against it. *)
 
 val run_c : ?max_leaves:int -> Cdigraph.t -> result
-(** The C kernel ({!Canon_c}), regardless of the selected backend. The
-    certificate string is rebuilt on the OCaml side by replaying the
-    leaf packing on the returned labeling. *)
+(** The C kernel ({!Canon_c}). The certificate string is rebuilt on the
+    OCaml side by replaying the leaf packing on the returned labeling.
+    @raise Invalid_argument if a node or arc color exceeds [2^31 - 1],
+    [n + m] does too, or [n^2 * kcol] (kcol = largest arc color + 1)
+    exceeds [max_int] — values the kernel cannot represent exactly. *)
 
 val certificate : ?max_leaves:int -> Cdigraph.t -> string
 val canonical_form : ?max_leaves:int -> Cdigraph.t -> Cdigraph.t

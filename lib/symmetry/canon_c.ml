@@ -22,8 +22,6 @@ external run_stub :
   int array * int array * int array array * int array * int array
   = "qe_canon_c_run"
 
-let available () = true
-
 let run ~colors ~asrc ~adst ~acol ~max_leaves =
   let labeling, orbits, generators, stats, cells =
     run_stub colors asrc adst acol max_leaves

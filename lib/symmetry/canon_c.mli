@@ -33,11 +33,6 @@ type raw = {
           observations behind the [refine.cells] histogram *)
 }
 
-val available : unit -> bool
-(** Whether the C backend is usable in this build. Always [true] for
-    the bundled port; a dynamically-probed bliss binding would say
-    [false] when the library is missing. *)
-
 val run :
   colors:int array ->
   asrc:int array ->
@@ -47,4 +42,5 @@ val run :
   raw
 (** [colors] has one node color per node; [asrc]/[adst]/[acol] are the
     arc list (equal lengths, endpoints in range — the caller
-    guarantees it, as {!Cdigraph} already validated). *)
+    guarantees it, as {!Cdigraph} already validated; values in the
+    range {!Canon.run_c} checks). *)

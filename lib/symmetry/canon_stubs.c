@@ -23,6 +23,11 @@
  *  - leaves compare as packed int arrays: node colors by canonical
  *    position, then ((src'*n + dst')*kcol + color) sorted ascending.
  *
+ * Packed keys (color*n + node during refinement, the leaf arc codes
+ * above) are 64-bit: with large arc colors or large n they exceed
+ * 2^31. Node/arc colors, n and m are C ints and n^2 * kcol must fit
+ * an OCaml int; Canon.run_c checks all of that before calling in.
+ *
  * The interface is bliss-shaped (flat colored-digraph in, canonical
  * labeling + generators out) so an industrial kernel can replace the
  * body without touching the OCaml side. The runtime lock is released
@@ -31,6 +36,7 @@
  * domains' GC.
  */
 
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <caml/mlvalues.h>
@@ -40,13 +46,15 @@
 #include <caml/signals.h>
 
 typedef struct {
-  int n, m, kcol;
-  int max_leaves;
+  int n, m;
+  int64_t kcol;
+  long max_leaves;
   /* graph */
   int *colors, *asrc, *adst, *acol;
   int *out_off, *out_dst, *out_col, *in_off, *in_src, *in_col;
   /* refinement workspace (port of refine.ml's ws) */
-  int *elements, *cell_of, *cell_len, *stack, *cnt, *touched, *tcells, *arcbuf;
+  int *elements, *cell_of, *cell_len, *stack, *cnt, *touched, *tcells;
+  int64_t *arcbuf;                /* packed (color * n + node) */
   unsigned char *on_stack, *tmark;
   int sp;
   /* search state */
@@ -54,7 +62,7 @@ typedef struct {
   int *bp;                       /* best invariant path (growable) */
   int bp_len, bp_cap;
   int cert_buf_len;              /* max(1, n + m) */
-  int *best_cert, *cert_scratch;
+  int64_t *best_cert, *cert_scratch;
   int *best_label;
   int have_best;
   int *prefix;                   /* individualized vertex per level */
@@ -104,30 +112,37 @@ static void k_free(K *k)
 
 /* ---- int sorts (ports of refine.ml's sort_sub / sort_sub_by) ---- */
 
-static void sort_ints(int *a, int lo, int hi)
-{
-  if (hi - lo < 16) {
-    int i;
-    for (i = lo + 1; i < hi; i++) {
-      int x = a[i], j = i - 1;
-      while (j >= lo && a[j] > x) { a[j + 1] = a[j]; j--; }
-      a[j + 1] = x;
-    }
-  } else {
-    int mid = (lo + hi) / 2;
-    int x = a[lo], y = a[mid], z = a[hi - 1];
-    int pivot = x < y ? (y < z ? y : (x > z ? x : z))
-                      : (x < z ? x : (y > z ? y : z));
-    int i = lo, j = hi - 1;
-    while (i <= j) {
-      while (a[i] < pivot) i++;
-      while (a[j] > pivot) j--;
-      if (i <= j) { int t = a[i]; a[i] = a[j]; a[j] = t; i++; j--; }
-    }
-    sort_ints(a, lo, j + 1);
-    sort_ints(a, i, hi);
+/* Sorting plain values has one result whatever the algorithm, so the
+   int and int64 instances need not mirror the OCaml code step by step. */
+#define DEFINE_SORT(name, T)                                            \
+  static void name(T *a, int lo, int hi)                                \
+  {                                                                     \
+    if (hi - lo < 16) {                                                 \
+      int i;                                                            \
+      for (i = lo + 1; i < hi; i++) {                                   \
+        T x = a[i];                                                     \
+        int j = i - 1;                                                  \
+        while (j >= lo && a[j] > x) { a[j + 1] = a[j]; j--; }           \
+        a[j + 1] = x;                                                   \
+      }                                                                 \
+    } else {                                                            \
+      int mid = (lo + hi) / 2;                                          \
+      T x = a[lo], y = a[mid], z = a[hi - 1];                           \
+      T pivot = x < y ? (y < z ? y : (x > z ? x : z))                   \
+                      : (x < z ? x : (y > z ? y : z));                  \
+      int i = lo, j = hi - 1;                                           \
+      while (i <= j) {                                                  \
+        while (a[i] < pivot) i++;                                       \
+        while (a[j] > pivot) j--;                                       \
+        if (i <= j) { T t = a[i]; a[i] = a[j]; a[j] = t; i++; j--; }    \
+      }                                                                 \
+      name(a, lo, j + 1);                                               \
+      name(a, i, hi);                                                   \
+    }                                                                   \
   }
-}
+
+DEFINE_SORT(sort_ints, int)
+DEFINE_SORT(sort_i64, int64_t)
 
 static void sort_by(int *a, const int *key, int lo, int hi)
 {
@@ -202,16 +217,17 @@ static void split_cell(K *k, int s)
 static void process_buffer(K *k, int nb)
 {
   int n = k->n;
-  int *arcbuf = k->arcbuf, *cnt = k->cnt;
+  int64_t *arcbuf = k->arcbuf;
+  int *cnt = k->cnt;
   int *touched = k->touched, *tcells = k->tcells;
   int i = 0;
   if (nb <= 0) return;
-  sort_ints(arcbuf, 0, nb);
+  sort_i64(arcbuf, 0, nb);
   while (i < nb) {
-    int col = arcbuf[i] / n;
+    int64_t col = arcbuf[i] / n;
     int nt = 0, ntc = 0, j;
     while (i < nb && arcbuf[i] / n == col) {
-      int u = arcbuf[i] % n;
+      int u = (int)(arcbuf[i] % n);
       if (cnt[u] == 0) touched[nt++] = u;
       cnt[u]++;
       i++;
@@ -265,14 +281,14 @@ static void refine(K *k, const int *p0, int *p_out)
     for (j = s; j < s + len; j++) {
       int v = elements[j];
       for (a = k->in_off[v]; a < k->in_off[v + 1]; a++)
-        k->arcbuf[nb++] = k->in_col[a] * n + k->in_src[a];
+        k->arcbuf[nb++] = (int64_t)k->in_col[a] * n + k->in_src[a];
     }
     process_buffer(k, nb);
     nb = 0;
     for (j = s; j < s + len; j++) {
       int v = elements[j];
       for (a = k->out_off[v]; a < k->out_off[v + 1]; a++)
-        k->arcbuf[nb++] = k->out_col[a] * n + k->out_dst[a];
+        k->arcbuf[nb++] = (int64_t)k->out_col[a] * n + k->out_dst[a];
     }
     process_buffer(k, nb);
   }
@@ -377,16 +393,18 @@ static int check_invariant(K *k, int off, int seglen)
   return off + seglen;
 }
 
-static void leaf_cert_fill(K *k, const int *p, int *out)
+static void leaf_cert_fill(K *k, const int *p, int64_t *out)
 {
-  int n = k->n, m = k->m, kcol = k->kcol, u, i;
+  int n = k->n, m = k->m, u, i;
+  int64_t kcol = k->kcol;
   for (u = 0; u < n; u++) out[p[u]] = k->colors[u];
   for (i = 0; i < m; i++)
-    out[n + i] = (p[k->asrc[i]] * n + p[k->adst[i]]) * kcol + k->acol[i];
-  sort_ints(out, n, n + m);
+    out[n + i] =
+        ((int64_t)p[k->asrc[i]] * n + p[k->adst[i]]) * kcol + k->acol[i];
+  sort_i64(out, n, n + m);
 }
 
-static int cmp_cert(const int *a, const int *b, int len)
+static int cmp_cert(const int64_t *a, const int64_t *b, int len)
 {
   int i;
   for (i = 0; i < len; i++)
@@ -492,14 +510,14 @@ static void search(K *k, const int *p, int depth, int off)
     leaf_cert_fill(k, p, k->cert_scratch);
     if (!k->have_best) {
       memcpy(k->best_cert, k->cert_scratch,
-             (size_t)k->cert_buf_len * sizeof(int));
+             (size_t)k->cert_buf_len * sizeof(int64_t));
       memcpy(k->best_label, p, (size_t)k->n * sizeof(int));
       k->have_best = 1;
     } else {
       int cmp = cmp_cert(k->cert_scratch, k->best_cert, k->cert_buf_len);
       if (cmp < 0) {
         memcpy(k->best_cert, k->cert_scratch,
-               (size_t)k->cert_buf_len * sizeof(int));
+               (size_t)k->cert_buf_len * sizeof(int64_t));
         memcpy(k->best_label, p, (size_t)k->n * sizeof(int));
       } else if (cmp == 0) {
         try_record_autom(k, p);
@@ -615,7 +633,7 @@ CAMLprim value qe_canon_c_run(value vcolors, value vasrc, value vadst,
   memset(&k, 0, sizeof(k));
   k.n = n;
   k.m = m;
-  k.max_leaves = (int)Long_val(vmax);
+  k.max_leaves = Long_val(vmax);
 
   k.colors = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
   k.asrc = xmalloc(&k, (size_t)(m ? m : 1) * sizeof(int));
@@ -634,7 +652,7 @@ CAMLprim value qe_canon_c_run(value vcolors, value vasrc, value vadst,
   k.cnt = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
   k.touched = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
   k.tcells = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
-  k.arcbuf = xmalloc(&k, (size_t)(m ? m : 1) * sizeof(int));
+  k.arcbuf = xmalloc(&k, (size_t)(m ? m : 1) * sizeof(int64_t));
   k.on_stack = xmalloc(&k, (size_t)(n ? n : 1));
   k.tmark = xmalloc(&k, (size_t)(n ? n : 1));
   k.seg = xmalloc(&k, (size_t)(n + 1) * sizeof(int));
@@ -642,8 +660,8 @@ CAMLprim value qe_canon_c_run(value vcolors, value vasrc, value vadst,
   k.bp_cap = 256;
   k.bp = xmalloc(&k, (size_t)k.bp_cap * sizeof(int));
   k.cert_buf_len = n + m > 0 ? n + m : 1;
-  k.best_cert = xmalloc(&k, (size_t)k.cert_buf_len * sizeof(int));
-  k.cert_scratch = xmalloc(&k, (size_t)k.cert_buf_len * sizeof(int));
+  k.best_cert = xmalloc(&k, (size_t)k.cert_buf_len * sizeof(int64_t));
+  k.cert_scratch = xmalloc(&k, (size_t)k.cert_buf_len * sizeof(int64_t));
   k.best_label = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
   k.prefix = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
   k.uf = xmalloc(&k, (size_t)(n ? n : 1) * sizeof(int));
@@ -661,9 +679,9 @@ CAMLprim value qe_canon_c_run(value vcolors, value vasrc, value vadst,
   }
   k.kcol = 1;
   for (i = 0; i < m; i++)
-    if (k.acol[i] + 1 > k.kcol) k.kcol = k.acol[i] + 1;
-  memset(k.best_cert, 0, (size_t)k.cert_buf_len * sizeof(int));
-  memset(k.cert_scratch, 0, (size_t)k.cert_buf_len * sizeof(int));
+    if ((int64_t)k.acol[i] + 1 > k.kcol) k.kcol = (int64_t)k.acol[i] + 1;
+  memset(k.best_cert, 0, (size_t)k.cert_buf_len * sizeof(int64_t));
+  memset(k.cert_scratch, 0, (size_t)k.cert_buf_len * sizeof(int64_t));
   memset(k.best_label, 0, (size_t)(n ? n : 1) * sizeof(int));
   /* the refiner relies on the all-zeros resting state of these (the
      OCaml workspace gets it from Array.make and maintains it) */
@@ -699,11 +717,8 @@ CAMLprim value qe_canon_c_run(value vcolors, value vasrc, value vadst,
     vtmp = alloc_int_array(k.gens[i], n);
     Store_field(vgens, i, vtmp);
   }
-  {
-    int st[8];
-    for (i = 0; i < 8; i++) st[i] = (int)stats[i];
-    vstats = alloc_int_array(st, 8);
-  }
+  vstats = caml_alloc(8, 0);
+  for (i = 0; i < 8; i++) Field(vstats, i) = Val_long(stats[i]);
   vcells = alloc_int_array(k.cells_obs, k.cells_len);
 
   k_free(&k);

@@ -16,7 +16,7 @@ val compute : ?max_leaves:int -> Qe_graph.Bicolored.t -> t
     the placement is uniform (every node black), the answer is pinned
     without any automorphism search — one orbit means exactly one class
     — and the search is skipped entirely; every other instance takes the
-    full search. Both paths produce identical results (differentially
+    full search. The two paths produce identical results (differentially
     tested on every Cayley family). *)
 
 val compute_slow : ?max_leaves:int -> Qe_graph.Bicolored.t -> t

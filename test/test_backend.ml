@@ -1,15 +1,15 @@
-(* Differential tests of the two canonicalization kernels: the pure-OCaml
-   reference (Canon.run_ocaml) and the C stub (Canon.run_c) must agree
-   bit-for-bit on every observable — certificates, labelings, orbits,
-   generators, leaf counts, budget behavior and non-latency telemetry.
-   The golden corpus pins the zoo fingerprints so a behavioral change in
-   either kernel (or in the fingerprint construction) fails loudly. *)
+(* Differential tests of the two canonicalization kernels: the C stub
+   (Canon.run_c, the production kernel behind Canon.run) and the
+   pure-OCaml reference (Canon.run_ocaml) must agree bit-for-bit on every
+   observable — certificates, labelings, orbits, generators, leaf counts,
+   budget behavior and non-latency telemetry. The golden corpus pins the
+   zoo fingerprints so a behavioral change in the kernel (or in the
+   fingerprint construction) fails loudly. *)
 
 module Graph = Qe_graph.Graph
 module Bicolored = Qe_graph.Bicolored
 module Cdigraph = Qe_symmetry.Cdigraph
 module Canon = Qe_symmetry.Canon
-module Canon_backend = Qe_symmetry.Canon_backend
 module Brute = Qe_symmetry.Brute
 module Cache = Qe_symmetry.Artifact_cache
 module Campaign = Qe_elect.Campaign
@@ -30,8 +30,9 @@ let random_permutation st n =
   done;
   p
 
-let random_cdigraph ?(max_n = 12) st =
-  let n = 2 + Random.State.int st (max_n - 1) in
+let random_cdigraph ?(min_n = 2) ?(max_n = 12)
+    ?(arc_color = fun st -> Random.State.int st 3) st =
+  let n = min_n + Random.State.int st (max_n - min_n + 1) in
   let kc = 1 + Random.State.int st 3 in
   let colors = Array.init n (fun _ -> Random.State.int st kc) in
   let arcs = ref [] in
@@ -39,7 +40,7 @@ let random_cdigraph ?(max_n = 12) st =
     for v = 0 to n - 1 do
       if u <> v && Random.State.float st 1.0 < 0.35 then
         arcs :=
-          { Cdigraph.src = u; dst = v; color = Random.State.int st 3 }
+          { Cdigraph.src = u; dst = v; color = arc_color st }
           :: !arcs
     done
   done;
@@ -102,19 +103,50 @@ let prop_recolor (kname, kernel) =
       && a.Canon.orbits = b.Canon.orbits
       && a.Canon.leaves_visited = b.Canon.leaves_visited)
 
+let kernels_agree g =
+  let a = Canon.run_ocaml g and b = Canon.run_c g in
+  a.Canon.certificate = b.Canon.certificate
+  && a.Canon.canonical_labeling = b.Canon.canonical_labeling
+  && a.Canon.orbits = b.Canon.orbits
+  && a.Canon.generators = b.Canon.generators
+  && a.Canon.leaves_visited = b.Canon.leaves_visited
+
+(* About half the arcs colored near 10^8 on 22..31 nodes, so both the
+   refiner's packed key (color * n + node) and the leaf key
+   (n^2 * kcol) exceed 2^31. *)
+let large_arc_color st =
+  if Random.State.bool st then 100_000_000 + Random.State.int st 3
+  else Random.State.int st 3
+
 let prop_cross_backend =
   QCheck.Test.make ~name:"ocaml and c kernels agree on everything"
     ~count:1000
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Random.State.make [| 0xca2; seed |] in
-      let g = random_cdigraph st in
-      let a = Canon.run_ocaml g and b = Canon.run_c g in
-      a.Canon.certificate = b.Canon.certificate
-      && a.Canon.canonical_labeling = b.Canon.canonical_labeling
-      && a.Canon.orbits = b.Canon.orbits
-      && a.Canon.generators = b.Canon.generators
-      && a.Canon.leaves_visited = b.Canon.leaves_visited)
+      kernels_agree (random_cdigraph st)
+      && kernels_agree
+           (random_cdigraph ~min_n:22 ~max_n:31 ~arc_color:large_arc_color st))
+
+(* Colors the C kernel cannot hold in a C int are refused, not
+   truncated; the reference kernel still handles them. *)
+let test_c_range () =
+  let too_big = 1 lsl 31 in
+  let refused name g =
+    match Canon.run_c g with
+    | (_ : Canon.result) -> Alcotest.failf "%s: run_c accepted it" name
+    | exception Invalid_argument _ ->
+        ignore (Canon.run_ocaml g : Canon.result)
+  in
+  refused "arc color 2^31"
+    (Cdigraph.make ~n:2 ~node_color:(fun _ -> 0)
+       [ { Cdigraph.src = 0; dst = 1; color = too_big } ]);
+  refused "node color 2^31"
+    (Cdigraph.make ~n:2 ~node_color:(fun u -> u * too_big) []);
+  Alcotest.(check bool) "largest C int is accepted" true
+    (kernels_agree
+       (Cdigraph.make ~n:2 ~node_color:(fun _ -> too_big - 1)
+          [ { Cdigraph.src = 0; dst = 1; color = too_big - 1 } ]))
 
 let prop_c_orbits_match_brute =
   QCheck.Test.make ~name:"c kernel orbits = brute orbits (n <= 8)"
@@ -165,30 +197,25 @@ let prop_metric_parity =
       let g = random_cdigraph st in
       snapshot_of Canon.run_ocaml g = snapshot_of Canon.run_c g)
 
-(* --- the Both dispatch mode --- *)
+(* --- the production kernel --- *)
 
-let test_both_mode_agrees () =
-  Canon_backend.with_backend Canon_backend.Both (fun () ->
-      let st = Random.State.make [| 77 |] in
-      for _ = 1 to 50 do
-        let g = random_cdigraph st in
-        let r = Canon.run g in
-        Alcotest.(check string)
-          "both-mode returns the reference result"
-          (Canon.run_ocaml g).Canon.certificate r.Canon.certificate
-      done)
-
-let test_backend_selection () =
-  let initial = Canon_backend.current () in
-  Canon_backend.with_backend Canon_backend.C (fun () ->
-      Alcotest.(check string) "tag" "c" (Canon_backend.tag ());
-      let g = Cdigraph.of_graph (Qe_graph.Families.petersen ()) in
-      Alcotest.(check string)
-        "dispatched run uses the c kernel"
-        (Canon.run_c g).Canon.certificate
-        (Canon.run g).Canon.certificate);
-  Alcotest.(check bool) "selection restored" true
-    (Canon_backend.current () = initial)
+let test_run_is_c_kernel () =
+  let st = Random.State.make [| 77 |] in
+  List.iter
+    (fun (name, g) ->
+      let a = Canon.run g and b = Canon.run_c g in
+      Alcotest.(check string) (name ^ ": certificate") b.Canon.certificate
+        a.Canon.certificate;
+      Alcotest.(check (array int)) (name ^ ": labeling")
+        b.Canon.canonical_labeling a.Canon.canonical_labeling;
+      Alcotest.(check (array int)) (name ^ ": orbits") b.Canon.orbits
+        a.Canon.orbits;
+      Alcotest.(check int) (name ^ ": leaves") b.Canon.leaves_visited
+        a.Canon.leaves_visited)
+    [
+      ("petersen", Cdigraph.of_graph (Qe_graph.Families.petersen ()));
+      ("random", random_cdigraph st);
+    ]
 
 (* --- golden corpus: zoo fingerprints are pinned --- *)
 
@@ -218,23 +245,25 @@ let test_golden_corpus () =
   Alcotest.(check bool) "corpus is non-empty" true (List.length golden > 50);
   let zoo = Campaign.zoo () @ Campaign.cayley_zoo () in
   List.iter
-    (fun (backend, name) ->
-      Canon_backend.with_backend backend (fun () ->
-          List.iter
-            (fun (i : Campaign.instance) ->
-              match List.assoc_opt i.Campaign.name golden with
-              | None ->
-                  Alcotest.failf "%s missing from %s (regenerate with \
-                                  `qelect selftest --write-golden`)"
-                    i.Campaign.name golden_path
-              | Some fp ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s fingerprint (%s backend)"
-                       i.Campaign.name name)
-                    fp
-                    (Cache.fingerprint_uncached (Campaign.bicolored i)))
-            zoo))
-    [ (Canon_backend.Ocaml, "ocaml"); (Canon_backend.C, "c") ];
+    (fun (i : Campaign.instance) ->
+      let name = i.Campaign.name in
+      let b = Campaign.bicolored i in
+      (match List.assoc_opt name golden with
+      | None ->
+          Alcotest.failf
+            "%s missing from %s (regenerate with `qelect selftest \
+             --write-golden`)"
+            name golden_path
+      | Some fp ->
+          Alcotest.(check string) (name ^ " fingerprint") fp
+            (Cache.fingerprint_uncached b));
+      let d = Cdigraph.of_bicolored b in
+      let a = Canon.run_ocaml d and c = Canon.run_c d in
+      Alcotest.(check string) (name ^ ": reference certificate")
+        a.Canon.certificate c.Canon.certificate;
+      Alcotest.(check (array int)) (name ^ ": reference orbits")
+        a.Canon.orbits c.Canon.orbits)
+    zoo;
   Alcotest.(check int) "corpus covers exactly the zoo" (List.length zoo)
     (List.length golden)
 
@@ -246,6 +275,8 @@ let () =
         :: QCheck_alcotest.to_alcotest prop_c_orbits_match_brute
         :: QCheck_alcotest.to_alcotest prop_budget_parity
         :: QCheck_alcotest.to_alcotest prop_metric_parity
+        :: Alcotest.test_case "c kernel refuses unrepresentable colors"
+             `Quick test_c_range
         :: List.concat_map
              (fun k ->
                [
@@ -255,10 +286,8 @@ let () =
              kernels );
       ( "dispatch",
         [
-          Alcotest.test_case "both mode cross-checks" `Quick
-            test_both_mode_agrees;
-          Alcotest.test_case "selection + restore" `Quick
-            test_backend_selection;
+          Alcotest.test_case "run is the c kernel" `Quick
+            test_run_is_c_kernel;
         ] );
       ( "golden",
         [ Alcotest.test_case "zoo fingerprints pinned" `Quick

@@ -39,7 +39,6 @@ let err_slot : unit Cache.slot = Cache.slot ~kind:"test.error"
 let hammer_slot : int Cache.slot = Cache.slot ~kind:"test.hammer"
 let l1_slot : int Cache.slot = Cache.slot ~kind:"test.l1"
 let race_slot : int Cache.slot = Cache.slot ~kind:"test.race"
-let backend_slot : string Cache.slot = Cache.slot ~kind:"test.backend"
 
 (* small distinct instances to key test slots by: n isolated nodes *)
 let isolated n = Bicolored.make (Graph.of_edges ~n []) ~black:[ 0 ]
@@ -611,44 +610,6 @@ let test_plan_node_class () =
         plan.Elect.node_class)
     (small_zoo ())
 
-(* Switching canonicalization backends mid-process must never serve a
-   cached artifact computed under the other backend: every entry is
-   keyed by the backend as well as the instance, so the first lookup
-   under each backend is a miss, later ones hit that backend's own entry
-   (the values stay equal: the kernels agree), and a slot whose value
-   names the backend that computed it never sees the other's. *)
-let test_backend_switch_invalidates () =
-  let module Backend = Qe_symmetry.Canon_backend in
-  let b = c6_antipodal () in
-  let misses () = (stat_of "certificate").Cache.misses in
-  let computed_under () = Cache.get backend_slot b Backend.tag in
-  with_cache_enabled true (fun () ->
-      Backend.with_backend Backend.Ocaml (fun () ->
-          Cache.clear ();
-          Cache.reset_stats ();
-          let fp_ml = Cache.fingerprint b in
-          Alcotest.(check int) "cold ocaml fingerprint: one miss" 1 (misses ());
-          let fp_c =
-            Backend.with_backend Backend.C (fun () -> Cache.fingerprint b)
-          in
-          Alcotest.(check string) "backends agree on the fingerprint" fp_ml
-            fp_c;
-          Alcotest.(check int)
-            "switch recomputes instead of serving the ocaml entry" 2
-            (misses ());
-          let fp_ml' = Cache.fingerprint b in
-          Alcotest.(check string) "ocaml entry unchanged" fp_ml fp_ml';
-          Alcotest.(check int) "back under ocaml, the ocaml entry is served" 2
-            (misses ());
-          Alcotest.(check string) "under c, only the c entry is served" fp_c
-            (Backend.with_backend Backend.C (fun () -> Cache.fingerprint b));
-          Alcotest.(check int) "no further miss" 2 (misses ());
-          Alcotest.(check (list string)) "no value crosses backends"
-            [ "ocaml"; "c"; "ocaml"; "c" ]
-            (List.map
-               (fun id -> Backend.with_backend id computed_under)
-               [ Backend.Ocaml; Backend.C; Backend.Ocaml; Backend.C ])))
-
 let () =
   Alcotest.run "cache"
     [
@@ -687,8 +648,6 @@ let () =
         [
           Alcotest.test_case "predict computes classes once" `Quick
             test_predict_computes_classes_once;
-          Alcotest.test_case "backend switch invalidates" `Quick
-            test_backend_switch_invalidates;
           Alcotest.test_case "plan node_class index" `Quick
             test_plan_node_class;
         ] );
